@@ -13,10 +13,8 @@ from .errors import (
 )
 from .matfunc import (
     complex_det,
-    complex_trace,
     imag_trace_log,
     mat_exp,
-    mat_log_principal,
     mat_sqrt_principal,
     phi1_entire,
     wrap_angle,
@@ -50,12 +48,10 @@ from .inhomogeneous import (
     ig_identity,
     ig_inverse,
     ig_multiply,
-    sd_commute,
     zeta_cocycle,
 )
 from .generator import (
     QuadraticHamiltonian,
-    alpha_beta,
     gqh_overlap_analytic,
     lift_from_gqh,
     sigma_map,

@@ -447,13 +447,15 @@ def _build_parser():
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--input", help="JSON input document (path or '-' for stdin)")
-        p.add_argument("--nmax", help="Fock cutoff(s), comma separated for sweeps")
-        p.add_argument("--tol", type=float, default=1e-5, help="verification tolerance")
-        p.add_argument("--steps", type=int, default=64, help="initial tracking grid")
-        p.add_argument("--seed", type=int, default=0, help="seed recorded for determinism")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], default=None)
-        p.add_argument("--t", type=float, default=1.0, help="evolution time for verify")
+        if name in ("verify", "sweep-time"):
+            p.add_argument("--nmax", help="Fock cutoff(s), comma separated for sweeps")
+        if name == "verify":
+            p.add_argument("--tol", type=float, default=1e-5, help="verification tolerance")
+            p.add_argument("--t", type=float, default=1.0, help="evolution time")
+        if name in ("lift", "phase"):
+            p.add_argument("--steps", type=int, default=64, help="initial tracking grid")
         if name == "sweep-grid":
             p.add_argument("--rho", help="displacement magnitude")
             p.add_argument("--tau", help="displacement angle, radians or e.g. '45deg'")

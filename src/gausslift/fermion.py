@@ -14,7 +14,7 @@ import scipy.linalg
 
 from .errors import InputError, InvalidStructureError, NumericalDomainError
 from .generator import vacuum_phase_tracked
-from .phase_space import Species, standard_kahler, validate_group_element
+from .phase_space import Species, validate_group_element
 
 #: tolerance on the w G w = 2 normalization of a reflection vector
 REFLECTION_NORM_TOL = 1e-12
@@ -205,8 +205,3 @@ def fermion_vacuum_amplitude(h, rep=None):
         rep = build_majorana(n_modes)
     op = scipy.linalg.expm(rep.quadratic_operator(h))
     return complex(np.vdot(rep.vacuum, op @ rep.vacuum))
-
-
-def fermion_standard_kahler(n_modes):
-    """Convenience: the standard fermionic structure."""
-    return standard_kahler(n_modes, species=Species.FERMION)

@@ -168,20 +168,13 @@ def truncation_reliable(ham, t, rep, fraction=RELIABILITY_FRACTION):
     return mean_excitation(ham, t, rep) <= fraction * rep.n_max
 
 
-def mean_excitation_product(ham1, ham2, t, rep):
-    """<n_total> of U_1(t) U_2(t)|0>."""
-    psi = rep._evolution(ham2).state(t)
-    psi = _apply(rep._evolution(ham1), t, psi)
-    return float(np.real(np.vdot(psi, rep.number_op @ psi)))
-
-
 def truncation_reliable_pair(ham1, ham2, t, rep, fraction=RELIABILITY_FRACTION):
     """Reliability of every amplitude entering the pair comparison."""
     limit = fraction * rep.n_max
     return (
         mean_excitation(ham1, t, rep) <= limit
         and mean_excitation(ham2, t, rep) <= limit
-        and mean_excitation_product(ham1, ham2, t, rep) <= limit
+        and number_expectation(ham1, ham2, t, rep) <= limit
     )
 
 
@@ -207,7 +200,9 @@ def zeta_numeric(ham1, ham2, t, rep):
 
 def number_expectation(ham1, ham2, t, rep):
     """<0| U2(t)^dag U1(t)^dag N U1(t) U2(t) |0> on the truncated space."""
-    return mean_excitation_product(ham1, ham2, t, rep)
+    psi = rep._evolution(ham2).state(t)
+    psi = _apply(rep._evolution(ham1), t, psi)
+    return float(np.real(np.vdot(psi, rep.number_op @ psi)))
 
 
 def number_expectation_analytic(ham1, ham2, t, k):

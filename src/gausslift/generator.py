@@ -116,22 +116,6 @@ def _beta_function(kmat):
     return 0.25 * np.linalg.solve(den, num)
 
 
-def alpha_beta(kmat):
-    """The pair alpha(K) = K (e^K - I)^{-1} and beta(K) = (K - sinh K)(I - cosh K)^{-1}/4.
-
-    alpha is the inverse of the entire function phi1; it fails exactly when
-    e^K - I is singular beyond the kernel of K (eigenvalue 2 pi i k, k != 0).
-    """
-    kmat = np.asarray(kmat, dtype=float)
-    p = phi1_entire(kmat)
-    sv = np.linalg.svd(p, compute_uv=False)
-    if sv[-1] < 1e-12 * max(sv[0], 1.0):
-        raise ResolventSingularError(
-            "e^K - I is singular beyond ker K (eigenvalue 2 pi i k); no branch of alpha"
-        )
-    return np.linalg.inv(p), _beta_function(kmat)
-
-
 def z_from_hf(h, f, k):
     """Displacement of e^{-iH}: z = Omega phi1(-K)^T f with K = Omega h.
 

@@ -13,7 +13,13 @@ import numpy as np
 from .errors import InputError, NumericalDomainError
 from .matfunc import imag_trace_log, wrap_angle
 from .metaplectic import circle_function, mp_lift
-from .phase_space import KahlerStructure, Species, delta_y_z, validate_group_element
+from .phase_space import (
+    KahlerStructure,
+    Species,
+    delta_y_z,
+    require_same_reference,
+    validate_group_element,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,7 +120,12 @@ def dsq_overlap(m, z, k):
 
 def _eta_via_y(m1, m2, k):
     # Result-1 form of the homogeneous cocycle: Im Tr-bar log(I - Y_{M1^-1} Y_{M2}).
-    # Y maps exist for every group element, unlike the C^-1 D form.
+    # Since I + delta_M = 2 M C_{M^-1}, Y_M exists exactly when Z_{M^-1} does
+    # (Y_M = Z_{M^-1}), so this form and cocycle_eta share their domain.  They
+    # differ only in the singularity thresholds of delta_y_z:
+    # cond(I + delta) > 1e13 here, sigma_min(C) < 1e-9 sigma_max for Z.
+    # cocycle_eta is kept as the independent evaluation the tests compare
+    # zeta_cocycle against.
     y1 = delta_y_z(np.linalg.inv(m1), k).y
     y2 = delta_y_z(m2, k).y
     return imag_trace_log(np.eye(k.dim) - y1 @ y2, k.j)
@@ -144,7 +155,7 @@ def zeta_cocycle(m1, z1, m2, z2, k):
 def ig_multiply(a, b):
     """(M1, z1, Psi1)(M2, z2, Psi2) = (M1 M2, z1 + M1 z2, Psi1 Psi2 e^{i zeta})."""
     k = a.k
-    _check_same_reference(a, b)
+    require_same_reference(a, b)
     if a.is_identity():
         return b
     if b.is_identity():
@@ -185,23 +196,6 @@ def ig_inverse(u):
     return LiftedGaussian(m=minv, z=zinv, psi=psi, k=u.k)
 
 
-def sd_commute(m, z):
-    """Displacement after pulling the squeezing through: S D(z) = D(Mz) S."""
-    return np.asarray(m, dtype=float) @ np.asarray(z, dtype=float)
-
-
-def _check_same_reference(a, b):
-    if a.k is b.k:
-        return
-    if (
-        a.k.species is not b.k.species
-        or a.k.dim != b.k.dim
-        or np.max(np.abs(a.k.j - b.k.j)) > 1e-12
-        or np.max(np.abs(a.k.omega - b.k.omega)) > 1e-12
-    ):
-        raise InputError("operands carry different Kähler references")
-
-
 __all__ = [
     "Displacement",
     "LiftedGaussian",
@@ -215,7 +209,6 @@ __all__ = [
     "ig_identity",
     "ig_inverse",
     "ig_multiply",
-    "sd_commute",
     "wrap_angle",
     "zeta_cocycle",
 ]

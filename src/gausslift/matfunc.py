@@ -3,11 +3,11 @@
 Everything here is pure: principal branches throughout, no state.  Branch
 continuity along a path is handled by the generator-lifting layer, never here.
 
-The ``complex_det`` / ``complex_trace`` pair evaluates the determinant and
-trace of the holomorphic part of a map that commutes with a complex structure
-J: in a basis where J takes the standard form ``[[0, I], [-I, 0]]`` such a map
-has the block shape ``[[K1, K2], [-K2, K1]]`` and the returned value is
-``det(K1 + i K2)`` (resp. the trace).  The value is basis independent.
+``complex_det`` evaluates the determinant of the holomorphic part of a map
+that commutes with the standard complex structure J = ``[[0, I], [-I, 0]]``:
+such a map has the block shape ``[[K1, K2], [-K2, K1]]`` and the returned
+value is ``det(K1 + i K2)``.  Any other J is rejected; the library fixes the
+Kähler structure to the standard one (see ``phase_space.KahlerStructure``).
 """
 
 import numpy as np
@@ -61,25 +61,6 @@ def mat_exp(a):
     return out
 
 
-def mat_log_principal(a):
-    """Principal matrix logarithm.
-
-    The spectrum must avoid the closed negative real axis; the offending
-    eigenvalue is reported otherwise.
-    """
-    a = _as_square(a, "mat_log_principal argument")
-    bad = _eig_on_cut(a, include_zero=True)
-    if bad is not None:
-        raise SpectrumOnCutError(
-            f"eigenvalue {bad} lies on the logarithm branch cut", eigenvalue=bad
-        )
-    out = scipy.linalg.logm(a)
-    if np.isrealobj(a) and np.iscomplexobj(out):
-        if np.max(np.abs(out.imag)) < 1e-12 * max(1.0, np.max(np.abs(out.real))):
-            out = out.real
-    return out
-
-
 def mat_sqrt_principal(a):
     """Principal matrix square root (symmetric fast path for symmetric input)."""
     a = _as_square(a, "mat_sqrt_principal argument")
@@ -128,35 +109,9 @@ def phi1_entire(k):
     return mat_exp(aug)[:n, n:]
 
 
-def standardize_complex_structure(j):
-    """Basis S with S^{-1} J S in standard form [[0, I], [-I, 0]].
-
-    Columns are (Re v_1..Re v_N, Im v_1..Im v_N) built from the +i
-    eigenvectors v of J.
-    """
-    j = _as_square(j, "complex structure")
-    n2 = j.shape[0]
-    if n2 % 2:
-        raise InvalidStructureError("complex structure must act on even dimension")
-    if np.max(np.abs(j @ j + np.eye(n2))) > 1e-8:
-        raise InvalidStructureError("matrix does not square to -identity")
-    vals, vecs = np.linalg.eig(j)
-    plus = [i for i in range(n2) if vals[i].imag > 0]
-    if len(plus) != n2 // 2:
-        raise InvalidStructureError("complex structure lacks an N-dimensional +i eigenspace")
-    v = vecs[:, plus]
-    s = np.hstack([v.real, v.imag])
-    n = n2 // 2
-    jstd = np.zeros((n2, n2))
-    jstd[:n, n:] = np.eye(n)
-    jstd[n:, :n] = -np.eye(n)
-    resid = np.max(np.abs(np.linalg.solve(s, j @ s) - jstd))
-    if resid > 1e-8:
-        raise InvalidStructureError(f"standardizing basis residual {resid:.3g}")
-    return s
-
-
 def _is_standard_j(j):
+    if j.shape[0] % 2:
+        return False
     n = j.shape[0] // 2
     jstd = np.zeros_like(j)
     jstd[:n, n:] = np.eye(n)
@@ -165,11 +120,13 @@ def _is_standard_j(j):
 
 
 def complexify(k, j):
-    """Holomorphic N x N block K1 + i K2 of a J-commuting map K."""
+    """Holomorphic N x N block K1 + i K2 of a map K commuting with the standard J."""
     k = _as_square(k, "complexify argument")
     j = _as_square(j, "complex structure")
     if k.shape != j.shape:
         raise InvalidStructureError("operand and complex structure differ in shape")
+    if not _is_standard_j(j):
+        raise InvalidStructureError("complex structure is not the standard [[0, I], [-I, 0]]")
     scale = max(1.0, np.linalg.norm(k) * np.linalg.norm(j))
     resid = np.linalg.norm(k @ j - j @ k)
     if resid > COMMUTATION_RTOL * scale:
@@ -177,22 +134,12 @@ def complexify(k, j):
             f"operand does not commute with the complex structure (residual {resid:.3g})"
         )
     n = k.shape[0] // 2
-    if _is_standard_j(j):
-        ks = k
-    else:
-        s = standardize_complex_structure(j)
-        ks = np.linalg.solve(s, k @ s)
-    return ks[:n, :n] + 1j * ks[:n, n:]
+    return k[:n, :n] + 1j * k[:n, n:]
 
 
 def complex_det(k, j):
-    """det of the holomorphic block of a J-commuting map (basis independent)."""
+    """det of the holomorphic block of a map commuting with the standard J."""
     return complex(np.linalg.det(complexify(k, j)))
-
-
-def complex_trace(k, j):
-    """Trace of the holomorphic block of a J-commuting map (basis independent)."""
-    return complex(np.trace(complexify(k, j)))
 
 
 def wrap_angle(x):
@@ -207,9 +154,9 @@ def imag_trace_log(a, j):
     """Im of the trace of the principal log of the holomorphic block of ``a``.
 
     Computed as the sum of principal arguments of the eigenvalues of the
-    complexified block, which is the imaginary part of ``complex_trace(log a)``
-    without forming a matrix logarithm.  Unreduced: the result can exceed
-    (-pi, pi] when several modes contribute.
+    complexified block, which is the imaginary part of the trace of its
+    logarithm, without forming a matrix logarithm.  Unreduced: the result can
+    exceed (-pi, pi] when several modes contribute.
     """
     ac = complexify(a, j)
     vals = np.linalg.eigvals(ac)

@@ -14,7 +14,13 @@ import numpy as np
 
 from .errors import InputError, NumericalDomainError, UnitarilyOrthogonalError
 from .matfunc import complex_det, imag_trace_log, mat_sqrt_principal
-from .phase_space import KahlerStructure, delta_y_z, split_cd, validate_group_element
+from .phase_space import (
+    KahlerStructure,
+    delta_y_z,
+    require_same_reference,
+    split_cd,
+    validate_group_element,
+)
 
 #: tolerance for the psi^2 = phi(M) membership check of a lifted element
 LIFT_PHASE_TOL = 1e-9
@@ -94,13 +100,7 @@ def mp_lift(m, k, branch=+1):
 
 def mp_multiply(a, b):
     """Double-cover product (M1 M2, psi1 psi2 e^{i eta/2})."""
-    if a.k is not b.k and (
-        a.k.species is not b.k.species
-        or a.k.dim != b.k.dim
-        or np.max(np.abs(a.k.j - b.k.j)) > 1e-12
-        or np.max(np.abs(a.k.omega - b.k.omega)) > 1e-12
-    ):
-        raise InputError("operands carry different Kähler references")
+    require_same_reference(a, b)
     eta = cocycle_eta(a.m, b.m, a.k)
     psi = a.psi * b.psi * np.exp(0.5j * eta)
     return LiftedSymplectic(m=a.m @ b.m, psi=psi, k=a.k)

@@ -154,6 +154,14 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "numerical-domain"
 
+    @pytest.mark.parametrize(
+        "argv", [["compose", "--nmax", "5"], ["sweep-time", "--seed", "7"]]
+    )
+    def test_flag_of_another_command_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--input", write_doc(tmp_path, FIG2_STABLE_DOC)])
+        assert exc.value.code == 2
+
     def test_csv_rejected_for_single_results(self, tmp_path):
         assert run(
             ["verify", "--input", write_doc(tmp_path, FIG2_STABLE_DOC), "--format", "csv"]
@@ -186,8 +194,8 @@ class TestSweepTime:
     def test_byte_identical_reruns(self, tmp_path):
         doc = write_doc(tmp_path, self._doc())
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert run(["sweep-time", "--input", doc, "--seed", "7", "--out", str(out1)]) == 0
-        assert run(["sweep-time", "--input", doc, "--seed", "7", "--out", str(out2)]) == 0
+        assert run(["sweep-time", "--input", doc, "--out", str(out1)]) == 0
+        assert run(["sweep-time", "--input", doc, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_zero_hamiltonians_give_zero_columns(self, tmp_path):

@@ -4,13 +4,11 @@ import pytest
 from conftest import FIG2_F, FIG2_STABLE, random_symmetric
 from gausslift import (
     QuadraticHamiltonian,
-    alpha_beta,
     build_fock,
     gqh_overlap_analytic,
     ig_multiply,
     lift_from_gqh,
     mat_exp,
-    phi1_entire,
     sigma_map,
     vacuum_amplitude_gqh,
     vacuum_phase_stable,
@@ -20,9 +18,9 @@ from gausslift import (
 )
 from gausslift.errors import (
     InputError,
-    ResolventSingularError,
     SpectrumOnCutError,
 )
+from gausslift.generator import _beta_function
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -55,42 +53,25 @@ class TestQuadraticHamiltonian:
 
 class TestAlphaBeta:
     def test_at_zero(self):
-        a, b = alpha_beta(np.zeros((2, 2)))
-        np.testing.assert_allclose(a, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(b, np.zeros((2, 2)), atol=1e-14)
-
-    def test_alpha_scalar_formula(self):
-        a, _ = alpha_beta(np.diag([1.0, -1.0]))
-        expected = np.diag([1.0 / (np.e - 1.0), -1.0 / (np.exp(-1.0) - 1.0)])
-        np.testing.assert_allclose(a, expected, atol=1e-12)
-
-    def test_alpha_inverts_phi1(self, rng):
-        k = random_symmetric(rng, 4, scale=2.0)
-        a, _ = alpha_beta(k)
-        np.testing.assert_allclose(a @ phi1_entire(k), np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(_beta_function(np.zeros((2, 2))), np.zeros((2, 2)), atol=1e-14)
 
     def test_beta_nilpotent_truncates(self):
         # series of (K - sinh K)/(4(I - cosh K)) starts at +K/12; a nilpotent
         # argument truncates it exactly
         k = np.array([[0.0, 1.0], [0.0, 0.0]])
-        _, b = alpha_beta(k)
-        np.testing.assert_allclose(b, k / 12.0, atol=1e-15)
+        np.testing.assert_allclose(_beta_function(k), k / 12.0, atol=1e-15)
 
     def test_beta_scalar_against_direct_evaluation(self):
         for x in (0.3, 1.5, 3.5):
-            _, b = alpha_beta(np.diag([x, -x]))
+            b = _beta_function(np.diag([x, -x]))
             direct = 0.25 * (x - np.sinh(x)) / (1.0 - np.cosh(x))
             np.testing.assert_allclose(b, np.diag([direct, -direct]), atol=1e-12)
 
     def test_beta_large_spectrum_direct_branch(self):
         x = 5.0  # beyond the series switch radius, still off the poles
-        _, b = alpha_beta(np.diag([x, -x]))
+        b = _beta_function(np.diag([x, -x]))
         direct = 0.25 * (x - np.sinh(x)) / (1.0 - np.cosh(x))
         np.testing.assert_allclose(b, np.diag([direct, -direct]), atol=1e-10)
-
-    def test_alpha_branch_error_at_resonance(self):
-        with pytest.raises(ResolventSingularError):
-            alpha_beta(2.0 * np.pi * ROT)
 
 
 class TestZFromHF:

@@ -9,6 +9,7 @@ from gausslift import (
     Displacement,
     LiftedGaussian,
     QuadraticHamiltonian,
+    Species,
     build_fock,
     cocycle_eta,
     disp_multiply,
@@ -21,8 +22,10 @@ from gausslift import (
     ig_inverse,
     ig_multiply,
     mat_exp,
+    mp_lift,
+    mp_multiply,
     random_group_element,
-    sd_commute,
+    standard_kahler,
     wrap_angle,
     zeta_cocycle,
 )
@@ -236,16 +239,26 @@ class TestDecomposeInverse:
                 assert abs(prod.psi - 1.0) < 1e-9
 
 
+class TestSameReference:
+    def test_separately_built_structures_compose(self, rng):
+        ka, kb = standard_kahler(2), standard_kahler(2)
+        u, v = random_lifted(rng, ka), random_lifted(rng, kb)
+        np.testing.assert_allclose(ig_multiply(u, v).m, u.m @ v.m, atol=0)
+        m1, m2 = random_group_element(ka, rng), random_group_element(kb, rng)
+        hom = mp_multiply(mp_lift(m1, ka), mp_lift(m2, kb))
+        np.testing.assert_allclose(hom.m, m1 @ m2, atol=0)
+
+    @pytest.mark.parametrize("n_modes, species", [(1, Species.BOSON), (2, Species.FERMION)])
+    def test_different_structures_rejected(self, k2, n_modes, species):
+        other = standard_kahler(n_modes, species)
+        for a, b in ((k2, other), (other, k2)):
+            with pytest.raises(InputError):
+                ig_multiply(ig_identity(a), ig_identity(b))
+            with pytest.raises(InputError):
+                mp_multiply(mp_lift(np.eye(a.dim), a), mp_lift(np.eye(b.dim), b))
+
+
 class TestSdCommute:
-    def test_identity(self, rng, k1):
-        z = rng.standard_normal(2)
-        np.testing.assert_allclose(sd_commute(np.eye(2), z), z, atol=0)
-
-    def test_matrix_vector(self, k1):
-        np.testing.assert_allclose(
-            sd_commute(np.diag([2.0, 0.5]), np.array([1.0, 1.0])), [2.0, 0.5], atol=0
-        )
-
     def test_operator_identity_on_fock(self, rng, k1):
         # || S D(z) - D(Mz) S || on a deep-interior block, n_max = 60
         rep = build_fock(1, 60)
@@ -261,6 +274,6 @@ class TestSdCommute:
         )
         m = mat_exp(k1.omega @ h)
         lhs = s_op @ disp(z)
-        rhs = disp(sd_commute(m, z)) @ s_op
+        rhs = disp(m @ z) @ s_op
         block = (lhs - rhs)[:13, :13]
         assert np.max(np.abs(block)) < 1e-8

@@ -10,7 +10,7 @@ from gausslift import (
     standard_kahler,
     validate_group_element,
 )
-from gausslift.errors import InputError, InvalidStructureError
+from gausslift.errors import InputError
 from gausslift.metaplectic import cartan
 from gausslift.phase_space import KahlerStructure
 
@@ -40,14 +40,16 @@ class TestStandardKahler:
         with pytest.raises(InputError):
             standard_kahler(0)
 
-    def test_invalid_structure_rejected(self):
-        with pytest.raises(InvalidStructureError):
-            KahlerStructure(
-                n_modes=1,
-                omega=[[0.0, 1.0], [-1.0, 0.0]],
-                metric=np.eye(2),
-                j=np.eye(2),
-            )
+    def test_equal_by_mode_count_and_species(self, k2):
+        assert KahlerStructure(n_modes=2) == k2
+        assert hash(KahlerStructure(n_modes=2)) == hash(k2)
+        assert standard_kahler(1) != k2
+        assert standard_kahler(2, Species.FERMION) != k2
+
+    def test_matrices_read_only(self, k1):
+        for name in ("omega", "metric", "j", "omega_inv", "metric_inv"):
+            with pytest.raises(ValueError):
+                getattr(k1, name)[0, 0] = 2.0
 
     def test_complex_basis_view(self, k1):
         omega_c, metric_c, j_c = k1.complex_basis_forms()
