@@ -80,6 +80,18 @@ def _require(doc, key, kind=None):
     return value
 
 
+def _convert(kind, value, name):
+    """``kind(value)``; a value that does not convert is an input error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} has an invalid value {value!r}") from None
+
+
+def _parse_modes(doc):
+    return _convert(int, _require(doc, "N"), "N")
+
+
 def _parse_species(doc):
     name = doc.get("species", "boson")
     try:
@@ -88,15 +100,19 @@ def _parse_species(doc):
         raise InputError(f"unknown species {name!r}") from None
 
 
+def _float_array(obj):
+    return np.asarray(obj, dtype=float)
+
+
 def _parse_matrix(obj, n2, name):
-    m = np.asarray(obj, dtype=float)
+    m = _convert(_float_array, obj, name)
     if m.shape != (n2, n2):
         raise InputError(f"{name} must be a {n2}x{n2} row-major matrix")
     return m
 
 
 def _parse_vector(obj, n2, name):
-    v = np.asarray(obj, dtype=float)
+    v = _convert(_float_array, obj, name)
     if v.shape != (n2,):
         raise InputError(f"{name} must be a length-{n2} vector")
     return v
@@ -112,9 +128,8 @@ def _parse_hamiltonians(doc, k, minimum=1):
         f = item.get("f")
         if f is not None:
             f = _parse_vector(f, k.dim, f"hamiltonians[{i}].f")
-        out.append(
-            QuadraticHamiltonian(h=h, f=f, c=float(item.get("c", 0.0)), species=k.species)
-        )
+        c = _convert(float, item.get("c", 0.0), f"hamiltonians[{i}].c")
+        out.append(QuadraticHamiltonian(h=h, f=f, c=c, species=k.species))
     return out
 
 
@@ -127,7 +142,8 @@ def _parse_elements(doc, k):
         psi_raw = item.get("Psi", [1.0, 0.0])
         if not isinstance(psi_raw, (list, tuple)) or len(psi_raw) != 2:
             raise InputError(f"elements[{i}].Psi must be a [re, im] pair")
-        out.append(LiftedGaussian(m=m, z=z, psi=complex(*psi_raw), k=k))
+        psi_re, psi_im = (_convert(float, v, f"elements[{i}].Psi") for v in psi_raw)
+        out.append(LiftedGaussian(m=m, z=z, psi=complex(psi_re, psi_im), k=k))
     return out
 
 
@@ -142,14 +158,27 @@ def _element_doc(u):
 def _parse_angle(text):
     text = text.strip()
     if text.endswith("deg"):
-        return float(text[:-3]) * np.pi / 180.0
-    return float(text)
+        return _convert(float, text[:-3], "angle") * np.pi / 180.0
+    return _convert(float, text, "angle")
 
 
 def _parse_nmax_list(value, default):
-    if value is None:
-        return list(default)
-    return [int(v) for v in str(value).split(",") if v]
+    items = default if value is None else str(value).split(",")
+    if not isinstance(items, list):
+        raise InputError("time.nmax must be a list of cutoffs")
+    return [_convert(int, v, "n_max") for v in items if v != ""]
+
+
+def _parse_grid_axis(spec, key):
+    """np.linspace of the grid's [min, max, num] triple for axis ``key``."""
+    triple = spec.get(key, [-2.0, 2.0, 9])
+    if not isinstance(triple, list) or len(triple) != 3:
+        raise InputError(f"grid.{key} must be a [min, max, num] triple")
+    name = f"grid.{key}"
+    num = _convert(int, triple[2], name)
+    if num < 0:
+        raise InputError(f"{name} needs a non-negative point count")
+    return np.linspace(_convert(float, triple[0], name), _convert(float, triple[1], name), num)
 
 
 def _write_output(text, out_path):
@@ -175,7 +204,7 @@ def _emit_csv(header, rows, out_path):
 def _cmd_compose(args):
     doc = _load_document(args.input)
     species = _parse_species(doc)
-    k = standard_kahler(int(_require(doc, "N")), species)
+    k = standard_kahler(_parse_modes(doc), species)
     elements = _parse_elements(doc, k)
     if not elements:
         raise InputError("compose needs at least one element")
@@ -198,11 +227,11 @@ def _cmd_lift(args):
     species = _parse_species(doc)
     if species is not Species.BOSON:
         raise InputError("lift covers bosonic hamiltonians")
-    k = standard_kahler(int(_require(doc, "N")), species)
+    k = standard_kahler(_parse_modes(doc), species)
     elements = []
     diagnostics = []
     for ham in _parse_hamiltonians(doc, k):
-        lifted = lift_from_gqh(ham, k, steps=args.steps)
+        lifted = lift_from_gqh(ham, k)
         _, residual = validate_group_element(lifted.m, k)
         elements.append(_element_doc(lifted))
         diagnostics.append(
@@ -223,13 +252,13 @@ def _cmd_lift(args):
 def _cmd_phase(args):
     doc = _load_document(args.input)
     species = _parse_species(doc)
-    k = standard_kahler(int(_require(doc, "N")), species)
+    k = standard_kahler(_parse_modes(doc), species)
     from .generator import vacuum_phase_stable, vacuum_phase_tracked
 
     results = []
     for ham in _parse_hamiltonians(doc, k):
         kgen = k.omega @ ham.h
-        tracked = vacuum_phase_tracked(kgen, k, steps=args.steps)
+        tracked = vacuum_phase_tracked(kgen, k)
         entry = {"phase_tracked": _complex_pair(tracked)}
         try:
             stable = vacuum_phase_stable(kgen, k)
@@ -248,11 +277,14 @@ def _cmd_verify(args):
     species = _parse_species(doc)
     if species is not Species.BOSON:
         raise InputError("verify covers bosonic hamiltonians")
-    k = standard_kahler(int(_require(doc, "N")), species)
+    k = standard_kahler(_parse_modes(doc), species)
     hams = _parse_hamiltonians(doc, k, minimum=2)
     h1, h2 = hams[0], hams[1]
-    t = float(doc.get("t", args.t))
-    nmax = _parse_nmax_list(args.nmax, [80])[-1]
+    t = _convert(float, doc.get("t", args.t), "t")
+    nmax_list = _parse_nmax_list(args.nmax, [80])
+    if len(nmax_list) != 1:
+        raise InputError("verify checks a single Fock cutoff")
+    nmax = nmax_list[0]
     tol = args.tol
     rep = build_fock(k.n_modes, nmax)
 
@@ -300,14 +332,14 @@ def _cmd_sweep_time(args):
     species = _parse_species(doc)
     if species is not Species.BOSON:
         raise InputError("time sweeps cover bosonic hamiltonians")
-    k = standard_kahler(int(_require(doc, "N")), species)
+    k = standard_kahler(_parse_modes(doc), species)
     hams = _parse_hamiltonians(doc, k, minimum=2)
     h1, h2 = hams[0], hams[1]
     spec = doc.get("time", {})
-    t_max = float(spec.get("t_max", 10.0))
-    t_step = float(spec.get("t_step", 0.05))
-    if t_step <= 0 or t_max < 0:
-        raise InputError("time grid needs t_step > 0 and t_max >= 0")
+    t_max = _convert(float, spec.get("t_max", 10.0), "time.t_max")
+    t_step = _convert(float, spec.get("t_step", 0.05), "time.t_step")
+    if not (t_step > 0 and 0 <= t_max < np.inf):
+        raise InputError("time grid needs t_step > 0 and a finite t_max >= 0")
     nmax_list = _parse_nmax_list(args.nmax, spec.get("nmax", [80]))
     reps = {n: build_fock(k.n_modes, n) for n in nmax_list}
     steps = int(round(t_max / t_step))
@@ -348,16 +380,17 @@ def _cmd_sweep_grid(args):
     species = _parse_species(doc)
     if species is not Species.BOSON:
         raise InputError("grid sweeps cover bosonic hamiltonians")
-    if int(_require(doc, "N")) != 1:
+    if _parse_modes(doc) != 1:
         raise InputError("the (a, c) grid sweep is a single-mode study")
     k = standard_kahler(1, species)
     spec = doc.get("grid", {})
-    a_min, a_max, a_num = spec.get("a", [-2.0, 2.0, 9])
-    c_min, c_max, c_num = spec.get("c", [-2.0, 2.0, 9])
-    rho = float(spec.get("rho", 0.0)) if args.rho is None else float(args.rho)
-    tau = float(spec.get("tau", 0.0)) if args.tau is None else _parse_angle(args.tau)
-    a_vals = np.linspace(float(a_min), float(a_max), int(a_num))
-    c_vals = np.linspace(float(c_min), float(c_max), int(c_num))
+    a_vals = _parse_grid_axis(spec, "a")
+    c_vals = _parse_grid_axis(spec, "c")
+    rho = _convert(float, spec.get("rho", 0.0) if args.rho is None else args.rho, "rho")
+    if args.tau is None:
+        tau = _convert(float, spec.get("tau", 0.0), "tau")
+    else:
+        tau = _parse_angle(args.tau)
     x_gen = np.array([[0.0, 1.0], [1.0, 0.0]])
     z_gen = np.array([[0.0, 1.0], [-1.0, 0.0]])
     f = rho * np.array([np.cos(tau), np.sin(tau)])
@@ -388,7 +421,7 @@ def _cmd_fermion(args):
     species = _parse_species(doc)
     if species is not Species.FERMION:
         raise InputError("the fermion command expects species 'fermion'")
-    n_modes = int(_require(doc, "N"))
+    n_modes = _parse_modes(doc)
     k = standard_kahler(n_modes, Species.FERMION)
     out = {"species": species.value, "N": n_modes}
     refl = reference_reflection(k)
@@ -415,7 +448,7 @@ def _cmd_fermion(args):
             amp = fermion_vacuum_amplitude(ham.h, build_majorana(n_modes))
             m = mat_exp(ham.h)
             c_part, _ = split_cd(m, k)
-            det = complex_det(c_part, k.j)
+            det = complex_det(c_part)
             entries.append(
                 {
                     "amplitude": _complex_pair(amp),
@@ -454,8 +487,6 @@ def _build_parser():
         if name == "verify":
             p.add_argument("--tol", type=float, default=1e-5, help="verification tolerance")
             p.add_argument("--t", type=float, default=1.0, help="evolution time")
-        if name in ("lift", "phase"):
-            p.add_argument("--steps", type=int, default=64, help="initial tracking grid")
         if name == "sweep-grid":
             p.add_argument("--rho", help="displacement magnitude")
             p.add_argument("--tau", help="displacement angle, radians or e.g. '45deg'")

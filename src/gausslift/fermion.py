@@ -19,6 +19,9 @@ from .phase_space import Species, validate_group_element
 #: tolerance on the w G w = 2 normalization of a reflection vector
 REFLECTION_NORM_TOL = 1e-12
 
+#: max entry deviation of e^K from M accepted from the so_generator logarithm
+SO_GENERATOR_TOL = 1e-10
+
 
 @dataclass(frozen=True, eq=False)
 class ReflectionVector:
@@ -49,7 +52,7 @@ def normalize_reflection(w, k):
     return ReflectionVector(w=w * np.sqrt(2.0 / norm))
 
 
-def mw_reflection(refl, k, rescale=False):
+def mw_reflection(refl, k):
     """Reflection matrix M_w = (G w) w^T - I; orthogonal, det = -1, involutive."""
     if k.species is not Species.FERMION:
         raise InputError("reflections belong to the fermionic component")
@@ -58,13 +61,11 @@ def mw_reflection(refl, k, rescale=False):
         raise InputError("zero vector generates no reflection")
     norm = float(w @ k.metric @ w)
     if abs(norm - 2.0) > REFLECTION_NORM_TOL:
-        if not rescale:
-            raise InputError(f"w G w = {norm}, expected 2 (pass rescale=True to fix)")
-        w = w * np.sqrt(2.0 / norm)
+        raise InputError(f"w G w = {norm}, expected 2 (rescale with normalize_reflection)")
     return np.outer(k.metric @ w, w) - np.eye(k.dim)
 
 
-def so_generator(m, tol=1e-10):
+def so_generator(m):
     """Antisymmetric K with e^K = M for special-orthogonal M.
 
     Real Schur reduction: rotation blocks give their angle generators, and the
@@ -97,7 +98,7 @@ def so_generator(m, tol=1e-10):
         k[b, a] = -np.pi
     gen = q @ k @ q.T
     gen = (gen - gen.T) / 2.0
-    if np.max(np.abs(scipy.linalg.expm(gen) - m)) > tol:
+    if np.max(np.abs(scipy.linalg.expm(gen) - m)) > SO_GENERATOR_TOL:
         raise NumericalDomainError("special-orthogonal logarithm failed to reproduce M")
     return gen
 

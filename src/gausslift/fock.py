@@ -163,14 +163,14 @@ def mean_excitation(ham, t, rep):
     return float(np.real(np.vdot(psi, rep.number_op @ psi)))
 
 
-def truncation_reliable(ham, t, rep, fraction=RELIABILITY_FRACTION):
+def truncation_reliable(ham, t, rep):
     """True while the evolved state stays well inside the cutoff."""
-    return mean_excitation(ham, t, rep) <= fraction * rep.n_max
+    return mean_excitation(ham, t, rep) <= RELIABILITY_FRACTION * rep.n_max
 
 
-def truncation_reliable_pair(ham1, ham2, t, rep, fraction=RELIABILITY_FRACTION):
+def truncation_reliable_pair(ham1, ham2, t, rep):
     """Reliability of every amplitude entering the pair comparison."""
-    limit = fraction * rep.n_max
+    limit = RELIABILITY_FRACTION * rep.n_max
     return (
         mean_excitation(ham1, t, rep) <= limit
         and mean_excitation(ham2, t, rep) <= limit

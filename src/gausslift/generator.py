@@ -2,8 +2,10 @@
 
 The phase of the exponentiated quadratic part is obtained by tracking the
 continuous square root of the inverse holomorphic determinant along the path
-t -> e^{tK}, starting from +1 at t = 0.  A closed form is available as an
-accelerated path for diagonalizable generators with purely imaginary spectrum.
+t -> e^{tK}, starting from +1 at t = 0; lifts always use this tracking.  The
+closed form ``vacuum_phase_stable`` for diagonalizable generators with purely
+imaginary spectrum is an independent cross-check (the ``phase`` command reports
+it next to the tracked phase), not a path that ``lift_from_gqh`` takes.
 """
 
 from dataclasses import dataclass
@@ -148,8 +150,7 @@ def _holomorphic_det_path_value(kgen, k, t, cache):
     if m is None:
         m = mat_exp(t * kgen)
         cache[t] = m
-    c = (m - k.j @ m @ k.j) / 2.0
-    return complex_det(c, k.j)
+    return complex_det(split_cd(m, k)[0])
 
 
 class _Refine(Exception):
@@ -171,20 +172,21 @@ def _tracked_angle(kgen, k, steps, cache):
     return float(np.sum(increments))
 
 
-def vacuum_phase_tracked(kgen, k, steps=_TRACK_START_STEPS):
+def vacuum_phase_tracked(kgen, k):
     """Measured vacuum phase of e^{K-hat} by continuous square-root tracking.
 
     Tracks the angle of the holomorphic determinant of C_{e^{tK}} along
     t in [0, 1], halves it, and applies the species sign (inverse determinant
-    for bosons).  The grid doubles until two consecutive refinements agree to
-    1e-10 and every per-step increment stays below pi/4; persistent zeros of
-    the determinant raise a path-singularity error.
+    for bosons).  The grid starts at 64 steps and doubles until two
+    consecutive refinements agree to 1e-10 and every per-step increment stays
+    below pi/4; persistent zeros of the determinant raise a path-singularity
+    error.
     """
     kgen = np.asarray(kgen, dtype=float)
     if not kgen.any():
         return 1.0 + 0.0j
     sign = -1.0 if k.species is Species.BOSON else 1.0
-    steps = max(int(steps), 4)
+    steps = _TRACK_START_STEPS
     cache = {}
     prev = None
     last_refine = None
@@ -273,32 +275,19 @@ def vacuum_phase_stable(kgen, k):
     return complex(np.exp(1j * arg))
 
 
-def lift_from_gqh(ham, k, method="tracked", steps=_TRACK_START_STEPS):
+def lift_from_gqh(ham, k):
     """Lift e^{-iH} for a bosonic H = (h, f, c) to its triple (M, z, Psi).
 
     M = e^{Omega h}, z = z_from_hf, and Psi conjugates the measured phase:
-    Psi = Phi* e^{ic} e^{-i z omega Sigma(K) z / 4}.  ``method`` selects the
-    phase engine: "tracked" (default), "stable", or "auto" to try the closed
-    form first and fall back to tracking.
+    Psi = Phi* e^{ic} e^{-i z omega Sigma(K) z / 4}.  The measured phase Phi is
+    always the tracked one (``vacuum_phase_tracked``).
     """
     if ham.species is not Species.BOSON or k.species is not Species.BOSON:
         raise InputError("generator lifting covers bosons")
     kgen = k.omega @ ham.h
     m = mat_exp(kgen)
     z = z_from_hf(ham.h, ham.f, k)
-    if not kgen.any():
-        phase = 1.0 + 0.0j
-    elif method == "tracked":
-        phase = vacuum_phase_tracked(kgen, k, steps=steps)
-    elif method == "stable":
-        phase = vacuum_phase_stable(kgen, k)
-    elif method == "auto":
-        try:
-            phase = vacuum_phase_stable(kgen, k)
-        except (NumericalDomainError, InvalidStructureError):
-            phase = vacuum_phase_tracked(kgen, k, steps=steps)
-    else:
-        raise InputError(f"unknown phase method {method!r}")
+    phase = vacuum_phase_tracked(kgen, k)
     if np.any(z):
         quad = 0.25 * z @ k.omega_inv @ (sigma_map(kgen, k) @ z)
     else:
@@ -307,15 +296,15 @@ def lift_from_gqh(ham, k, method="tracked", steps=_TRACK_START_STEPS):
     return LiftedGaussian(m=m, z=z, psi=psi, k=k)
 
 
-def gqh_overlap_analytic(ham, k, method="tracked"):
+def gqh_overlap_analytic(ham, k):
     """Full complex <0| e^{-iH} |0>: measured phase times closed-form modulus.
 
     The modulus is sqrt(e^{-z g (I + delta)^{-1} z} / |complex_det(C_M)|).
     """
-    lifted = lift_from_gqh(ham, k, method=method)
+    lifted = lift_from_gqh(ham, k)
     m, z = lifted.m, lifted.z
     delta = delta_y_z(m, k).delta
     zq = z @ k.metric_inv @ np.linalg.solve(np.eye(k.dim) + delta, z)
     c_part, _ = split_cd(m, k)
-    modulus = np.sqrt(np.exp(-zq) / abs(complex_det(c_part, k.j)))
+    modulus = np.sqrt(np.exp(-zq) / abs(complex_det(c_part)))
     return modulus * np.conj(lifted.psi)

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalDomainError
-from .matfunc import imag_trace_log, wrap_angle
-from .metaplectic import circle_function, mp_lift
+from .matfunc import imag_trace_log
+from .metaplectic import mp_lift
 from .phase_space import (
     KahlerStructure,
     Species,
@@ -128,7 +128,7 @@ def _eta_via_y(m1, m2, k):
     # zeta_cocycle against.
     y1 = delta_y_z(np.linalg.inv(m1), k).y
     y2 = delta_y_z(m2, k).y
-    return imag_trace_log(np.eye(k.dim) - y1 @ y2, k.j)
+    return imag_trace_log(np.eye(k.dim) - y1 @ y2)
 
 
 def zeta_cocycle(m1, z1, m2, z2, k):
@@ -199,7 +199,6 @@ def ig_inverse(u):
 __all__ = [
     "Displacement",
     "LiftedGaussian",
-    "circle_function",
     "disp_multiply",
     "displacement_to_gaussian",
     "dsq_overlap",
@@ -209,6 +208,5 @@ __all__ = [
     "ig_identity",
     "ig_inverse",
     "ig_multiply",
-    "wrap_angle",
     "zeta_cocycle",
 ]

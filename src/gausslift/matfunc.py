@@ -4,10 +4,11 @@ Everything here is pure: principal branches throughout, no state.  Branch
 continuity along a path is handled by the generator-lifting layer, never here.
 
 ``complex_det`` evaluates the determinant of the holomorphic part of a map
-that commutes with the standard complex structure J = ``[[0, I], [-I, 0]]``:
-such a map has the block shape ``[[K1, K2], [-K2, K1]]`` and the returned
-value is ``det(K1 + i K2)``.  Any other J is rejected; the library fixes the
-Kähler structure to the standard one (see ``phase_space.KahlerStructure``).
+that commutes with the standard complex structure J = ``[[0, I], [-I, 0]]``
+of the operand's size: such a map has the block shape ``[[K1, K2], [-K2, K1]]``
+and the returned value is ``det(K1 + i K2)``.  No function takes J as an
+argument: the library fixes the Kähler structure to the standard one (see
+``phase_space.KahlerStructure``).
 """
 
 import numpy as np
@@ -36,16 +37,12 @@ def _as_square(a, name):
     return a
 
 
-def _eig_on_cut(a, include_zero):
+def _eig_on_cut(a):
     """Return an eigenvalue of ``a`` on the closed negative real axis, or None."""
     vals = np.linalg.eigvals(a)
     scale = max(1.0, np.max(np.abs(vals)))
     for lam in vals:
-        if abs(lam) < 1e-12 * scale:
-            if include_zero:
-                return lam
-            continue
-        if lam.real < 0 and abs(lam.imag) <= 1e-12 * abs(lam):
+        if abs(lam) < 1e-12 * scale or (lam.real < 0 and abs(lam.imag) <= 1e-12 * abs(lam)):
             return lam
     return None
 
@@ -72,7 +69,7 @@ def mat_sqrt_principal(a):
                 eigenvalue=np.min(w),
             )
         return (v * np.sqrt(w)) @ v.T
-    bad = _eig_on_cut(a, include_zero=True)
+    bad = _eig_on_cut(a)
     if bad is not None:
         raise SpectrumOnCutError(
             f"eigenvalue {bad} lies on the square-root branch cut", eigenvalue=bad
@@ -109,37 +106,27 @@ def phi1_entire(k):
     return mat_exp(aug)[:n, n:]
 
 
-def _is_standard_j(j):
-    if j.shape[0] % 2:
-        return False
-    n = j.shape[0] // 2
-    jstd = np.zeros_like(j)
-    jstd[:n, n:] = np.eye(n)
-    jstd[n:, :n] = -np.eye(n)
-    return np.array_equal(j, jstd) or np.max(np.abs(j - jstd)) < 1e-14
-
-
-def complexify(k, j):
+def complexify(k):
     """Holomorphic N x N block K1 + i K2 of a map K commuting with the standard J."""
     k = _as_square(k, "complexify argument")
-    j = _as_square(j, "complex structure")
-    if k.shape != j.shape:
-        raise InvalidStructureError("operand and complex structure differ in shape")
-    if not _is_standard_j(j):
-        raise InvalidStructureError("complex structure is not the standard [[0, I], [-I, 0]]")
-    scale = max(1.0, np.linalg.norm(k) * np.linalg.norm(j))
-    resid = np.linalg.norm(k @ j - j @ k)
+    if k.shape[0] % 2:
+        raise InvalidStructureError(f"odd dimension {k.shape[0]} admits no complex structure")
+    n = k.shape[0] // 2
+    a, b = k[:n, :n], k[:n, n:]
+    c, d = k[n:, :n], k[n:, n:]
+    # K J - J K = [[-(B + C), A - D], [A - D, B + C]] and ||J||_F = sqrt(2N)
+    resid = np.sqrt(2.0) * np.hypot(np.linalg.norm(b + c), np.linalg.norm(a - d))
+    scale = max(1.0, np.linalg.norm(k) * np.sqrt(2.0 * n))
     if resid > COMMUTATION_RTOL * scale:
         raise CommutationError(
             f"operand does not commute with the complex structure (residual {resid:.3g})"
         )
-    n = k.shape[0] // 2
-    return k[:n, :n] + 1j * k[:n, n:]
+    return a + 1j * b
 
 
-def complex_det(k, j):
+def complex_det(k):
     """det of the holomorphic block of a map commuting with the standard J."""
-    return complex(np.linalg.det(complexify(k, j)))
+    return complex(np.linalg.det(complexify(k)))
 
 
 def wrap_angle(x):
@@ -150,7 +137,7 @@ def wrap_angle(x):
     return float(out) if arr.ndim == 0 else out
 
 
-def imag_trace_log(a, j):
+def imag_trace_log(a):
     """Im of the trace of the principal log of the holomorphic block of ``a``.
 
     Computed as the sum of principal arguments of the eigenvalues of the
@@ -158,7 +145,7 @@ def imag_trace_log(a, j):
     logarithm, without forming a matrix logarithm.  Unreduced: the result can
     exceed (-pi, pi] when several modes contribute.
     """
-    ac = complexify(a, j)
+    ac = complexify(a)
     vals = np.linalg.eigvals(ac)
     scale = max(1.0, np.max(np.abs(vals)))
     for lam in vals:

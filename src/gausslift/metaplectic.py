@@ -54,7 +54,7 @@ class LiftedSymplectic:
 def circle_function(m, k):
     """Unit-modulus phase of the holomorphic determinant of C_M."""
     c, _ = split_cd(m, k)
-    det = complex_det(c, k.j)
+    det = complex_det(c)
     if abs(det) < 1e-12:
         raise UnitarilyOrthogonalError(
             "holomorphic determinant of C_M vanishes (unitarily orthogonal element)"
@@ -78,7 +78,7 @@ def cocycle_eta(m1, m2, k):
     if z1 is None or z2 is None:
         raise NumericalDomainError("cocycle undefined: a Z map does not exist (singular C)")
     arg = np.eye(k.dim) - z1 @ z2
-    return imag_trace_log(arg, k.j)
+    return imag_trace_log(arg)
 
 
 def cartan(m, k):

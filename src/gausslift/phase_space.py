@@ -1,7 +1,6 @@
 """Kähler structures and the J-relative decompositions of group elements.
 
-The real quadrature basis is canonical for storage.  The complex-basis matrix
-forms exist only as a conversion view for tests.
+All matrices are stored in the real quadrature basis (q_1..q_N, p_1..p_N).
 """
 
 import enum
@@ -68,16 +67,6 @@ class KahlerStructure:
     def omega_bilinear(self, z1, z2):
         """Symplectic area omega(z1, z2) = z1^T omega^{-1} z2 of two vectors."""
         return float(np.asarray(z1) @ self.omega_inv @ np.asarray(z2))
-
-    def complex_basis_forms(self):
-        """(Omega, G, J) matrices in the ladder basis; test-only view."""
-        n = self.n_modes
-        eye = np.eye(n)
-        zero = np.zeros((n, n))
-        omega_c = 1j * np.block([[zero, -eye], [eye, zero]])
-        metric_c = np.block([[zero, eye], [eye, zero]]).astype(complex)
-        j_c = 1j * np.block([[-eye, zero], [zero, eye]])
-        return omega_c, metric_c, j_c
 
 
 def standard_symplectic_form(n_modes):

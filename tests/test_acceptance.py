@@ -276,7 +276,7 @@ def test_criterion_08_fermionic_component(rng):
             h = random_antisymmetric(rng, 2 * n, scale=1.0)
             amp = fermion_vacuum_amplitude(h, rep)
             c_part, _ = split_cd(mat_exp(h), k)
-            worst_sq = max(worst_sq, abs(amp * amp - complex_det(c_part, k.j)))
+            worst_sq = max(worst_sq, abs(amp * amp - complex_det(c_part)))
     ok = worst_inv < 1e-12 and worst_pin < 1e-8 and worst_sq < 1e-8
     report(
         8,

@@ -155,12 +155,45 @@ class TestErrorPaths:
         assert err["error"]["code"] == "numerical-domain"
 
     @pytest.mark.parametrize(
-        "argv", [["compose", "--nmax", "5"], ["sweep-time", "--seed", "7"]]
+        "argv",
+        [
+            ["compose", "--nmax", "5"],
+            ["sweep-time", "--seed", "7"],
+            ["lift", "--steps", "8"],
+            ["phase", "--steps", "8"],
+        ],
     )
     def test_flag_of_another_command_rejected(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             run(argv + ["--input", write_doc(tmp_path, FIG2_STABLE_DOC)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["compose"], {"species": "boson", "N": "two", "elements": []}),
+            (["sweep-time", "--nmax", "abc"], FIG2_STABLE_DOC),
+            (["verify"], dict(FIG2_STABLE_DOC, t="x")),
+            (["verify", "--nmax", "20,40"], FIG2_STABLE_DOC),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"a": [0, 1]}}),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"a": [0, 1, "x"]}}),
+            (["sweep-grid", "--tau", "xdeg"], {"species": "boson", "N": 1}),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"nmax": 80})),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"t_max": "x"})),
+            (["lift"], {"species": "boson", "N": 1, "hamiltonians": [{"h": [[1, 0], [0, "a"]]}]}),
+            (["lift"], {"species": "boson", "N": 1,
+                        "hamiltonians": [{"h": [[1, 0], [0, 1]], "c": "x"}]}),
+            (["compose"], {"species": "boson", "N": 1,
+                           "elements": [{"M": [[1, 0], [0, 1]], "Psi": ["a", 0]}]}),
+        ],
+        ids=["N-text", "nmax-flag-text", "t-text", "verify-two-cutoffs", "grid-axis-pair",
+             "grid-axis-text", "tau-flag-text", "nmax-not-list", "t-max-text", "h-text",
+             "c-text", "psi-text"],
+    )
+    def test_malformed_value_exits_two(self, tmp_path, capsys, argv, doc):
+        assert run(argv + ["--input", write_doc(tmp_path, doc)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "input"
 
     def test_csv_rejected_for_single_results(self, tmp_path):
         assert run(

@@ -44,7 +44,7 @@ class TestBosonSquareLaw:
         assert amp == pytest.approx(np.exp(-0.5j * t), abs=1e-10)
         m = mat_exp(k1.omega @ np.eye(2) * t)
         c, _ = split_cd(m, k1)
-        det = complex_det(c, k1.j)
+        det = complex_det(c)
         assert amp**2 == pytest.approx(1.0 / det, abs=1e-9)
 
     def test_random_generators(self, rng, k1):
@@ -53,7 +53,7 @@ class TestBosonSquareLaw:
             amp = _boson_amplitude(h, 1.0)
             m = mat_exp(k1.omega @ h)
             c, _ = split_cd(m, k1)
-            det = complex_det(c, k1.j)
+            det = complex_det(c)
             assert amp**2 == pytest.approx(1.0 / det, abs=1e-9)
 
     def test_two_modes(self, rng, k2):
@@ -61,7 +61,7 @@ class TestBosonSquareLaw:
         amp = _boson_amplitude(h, 1.0, nmax=24)
         m = mat_exp(k2.omega @ h)
         c, _ = split_cd(m, k2)
-        assert amp**2 == pytest.approx(1.0 / complex_det(c, k2.j), abs=1e-8)
+        assert amp**2 == pytest.approx(1.0 / complex_det(c), abs=1e-8)
 
 
 class TestFermionSquareLaw:
@@ -71,7 +71,7 @@ class TestFermionSquareLaw:
             amp = fermion_vacuum_amplitude(h)
             assert amp == pytest.approx(np.exp(0.5j * t), abs=1e-12)
             c, _ = split_cd(mat_exp(h), kf1)
-            assert amp**2 == pytest.approx(complex_det(c, kf1.j), abs=1e-10)
+            assert amp**2 == pytest.approx(complex_det(c), abs=1e-10)
 
     def test_random_generators(self, rng, kf2):
         rep = build_majorana(2)
@@ -79,7 +79,7 @@ class TestFermionSquareLaw:
             h = random_antisymmetric(rng, 4, scale=0.9)
             amp = fermion_vacuum_amplitude(h, rep)
             c, _ = split_cd(mat_exp(h), kf2)
-            assert amp**2 == pytest.approx(complex_det(c, kf2.j), abs=1e-9)
+            assert amp**2 == pytest.approx(complex_det(c), abs=1e-9)
 
 
 class TestTrackedPhaseIsMeasuredPhase:

@@ -52,7 +52,7 @@ class TestMwReflection:
     def test_unnormalized_rejected_unless_rescaled(self, kf1):
         with pytest.raises(InputError):
             mw_reflection(np.array([1.0, 0.0]), kf1)
-        m = mw_reflection(np.array([1.0, 0.0]), kf1, rescale=True)
+        m = mw_reflection(normalize_reflection(np.array([1.0, 0.0]), kf1), kf1)
         np.testing.assert_allclose(m @ m, np.eye(2), atol=1e-14)
 
     def test_bosonic_structure_rejected(self, k1):
@@ -91,7 +91,7 @@ class TestVacuumAmplitude:
             h = random_antisymmetric(rng, 4, scale=1.0)
             amp = fermion_vacuum_amplitude(h, rep)
             c, _ = split_cd(mat_exp(h), kf2)
-            assert amp**2 == pytest.approx(complex_det(c, kf2.j), abs=1e-8)
+            assert amp**2 == pytest.approx(complex_det(c), abs=1e-8)
 
     def test_anticommutator_guard(self):
         rep = build_majorana(3)
@@ -153,7 +153,7 @@ class TestPinComponentPhase:
             assert abs(amp) > 1e-12
             phase = amp / abs(amp)
             c, _ = split_cd(m1 @ m2, kf2)
-            circle = complex_det(c, kf2.j)
+            circle = complex_det(c)
             assert phase**2 == pytest.approx(circle / abs(circle), abs=1e-8)
             # the chain also realizes the product matrix on the quadratures
             prod = op1 @ op2

@@ -167,13 +167,6 @@ class TestTrackedPhase:
     def test_double_turn_gives_plus_one(self, k1):
         assert vacuum_phase_tracked(4 * np.pi * ROT, k1) == pytest.approx(1.0, abs=1e-10)
 
-    def test_step_doubling_converged(self, k1, rng):
-        h = random_symmetric(rng, 2, scale=1.0)
-        kgen = np.asarray(k1.omega) @ h
-        a = vacuum_phase_tracked(kgen, k1, steps=64)
-        b = vacuum_phase_tracked(kgen, k1, steps=128)
-        assert abs(a - b) < 1e-10
-
     def test_fig2_oracle(self, k1):
         rep = build_fock(1, 80)
         amp = vacuum_amplitude_gqh(QuadraticHamiltonian(h=FIG2_STABLE[0]), 1.0, rep)
@@ -235,16 +228,6 @@ class TestLiftFromGQH:
         assert np.conj(lifted.psi) == pytest.approx(amp / abs(amp), abs=1e-6)
         analytic = gqh_overlap_analytic(ham, k1)
         assert analytic == pytest.approx(amp, abs=1e-6)
-
-    def test_auto_method(self, k1):
-        ham = QuadraticHamiltonian(h=0.8 * np.eye(2))
-        a = lift_from_gqh(ham, k1, method="auto")
-        b = lift_from_gqh(ham, k1, method="tracked")
-        assert a.psi == pytest.approx(b.psi, abs=1e-9)
-
-    def test_unknown_method_rejected(self, k1):
-        with pytest.raises(InputError):
-            lift_from_gqh(QuadraticHamiltonian(h=np.eye(2)), k1, method="guess")
 
     def test_representation_property(self, rng, k1):
         # the lift is a homomorphism: lift(H1) lift(H2) realizes U1 U2 in all
