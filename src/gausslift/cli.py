@@ -62,13 +62,21 @@ def _load_document(path):
         return {}
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(sys.stdin)
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InputError(f"input is not valid JSON: {exc}") from exc
     except OSError as exc:
         raise InputError(f"cannot read input: {exc}") from exc
+    return _object(doc, "input document")
+
+
+def _object(value, name):
+    if not isinstance(value, dict):
+        raise InputError(f"{name} must be a JSON object")
+    return value
 
 
 def _require(doc, key, kind=None):
@@ -124,6 +132,7 @@ def _parse_hamiltonians(doc, k, minimum=1):
         raise InputError(f"need at least {minimum} hamiltonian(s)")
     out = []
     for i, item in enumerate(items):
+        item = _object(item, f"hamiltonians[{i}]")
         h = _parse_matrix(_require(item, "h"), k.dim, f"hamiltonians[{i}].h")
         f = item.get("f")
         if f is not None:
@@ -137,6 +146,7 @@ def _parse_elements(doc, k):
     items = _require(doc, "elements", list)
     out = []
     for i, item in enumerate(items):
+        item = _object(item, f"elements[{i}]")
         m = _parse_matrix(_require(item, "M"), k.dim, f"elements[{i}].M")
         z = _parse_vector(item.get("z", [0.0] * k.dim), k.dim, f"elements[{i}].z")
         psi_raw = item.get("Psi", [1.0, 0.0])
@@ -335,7 +345,7 @@ def _cmd_sweep_time(args):
     k = standard_kahler(_parse_modes(doc), species)
     hams = _parse_hamiltonians(doc, k, minimum=2)
     h1, h2 = hams[0], hams[1]
-    spec = doc.get("time", {})
+    spec = _object(doc.get("time", {}), "time")
     t_max = _convert(float, spec.get("t_max", 10.0), "time.t_max")
     t_step = _convert(float, spec.get("t_step", 0.05), "time.t_step")
     if not (t_step > 0 and 0 <= t_max < np.inf):
@@ -383,7 +393,7 @@ def _cmd_sweep_grid(args):
     if _parse_modes(doc) != 1:
         raise InputError("the (a, c) grid sweep is a single-mode study")
     k = standard_kahler(1, species)
-    spec = doc.get("grid", {})
+    spec = _object(doc.get("grid", {}), "grid")
     a_vals = _parse_grid_axis(spec, "a")
     c_vals = _parse_grid_axis(spec, "c")
     rho = _convert(float, spec.get("rho", 0.0) if args.rho is None else args.rho, "rho")

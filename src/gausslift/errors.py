@@ -51,7 +51,11 @@ class ResolventSingularError(NumericalDomainError):
 
 
 class PathSingularityError(NumericalDomainError):
-    """Phase tracking hit a persistent zero of the determinant on its path."""
+    """A phase path hit a persistent zero of the determinant.
+
+    No library function raises it: the phase engine squares in the double
+    cover and reports a singular C through the errors of the group law.
+    """
 
 
 class PhaseUndefinedError(NumericalDomainError):

@@ -106,7 +106,8 @@ def so_generator(m):
 def pin_component_phase(m, refl, k):
     """Lifted phase of an orthogonal element, both components.
 
-    det = +1: the tracked vacuum phase of its special-orthogonal generator.
+    det = +1: the vacuum phase (``vacuum_phase_tracked``) of its
+    special-orthogonal generator.
     det = -1: the phase of M_w M (which has det = +1) relative to the fixed
     reference reflection; the reference choice is part of the answer.
     """

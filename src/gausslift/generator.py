@@ -1,11 +1,14 @@
 """Lifting quadratic Hamiltonians (h, f, c) to lifted triples (M, z, Psi).
 
-The phase of the exponentiated quadratic part is obtained by tracking the
-continuous square root of the inverse holomorphic determinant along the path
-t -> e^{tK}, starting from +1 at t = 0; lifts always use this tracking.  The
+The phase of the exponentiated quadratic part comes from scaling and squaring
+in the double cover (``vacuum_phase_tracked``): e^{K/2^s}, close to the
+identity, is lifted on its continuous branch and squared s times with the
+group law ``mp_multiply``.  Lifts and Pin phases always use this engine.  Every
+square e^{K/2^j} (j >= 1) must have an invertible C; where one does not, a
+``NumericalDomainError`` is raised and no branch is guessed.  The
 closed form ``vacuum_phase_stable`` for diagonalizable generators with purely
 imaginary spectrum is an independent cross-check (the ``phase`` command reports
-it next to the tracked phase), not a path that ``lift_from_gqh`` takes.
+it next to the squared phase), not a path that ``lift_from_gqh`` takes.
 """
 
 from dataclasses import dataclass
@@ -18,12 +21,11 @@ from .errors import (
     InputError,
     InvalidStructureError,
     NumericalDomainError,
-    PathSingularityError,
     ResolventSingularError,
     SpectrumOnCutError,
 )
-from .matfunc import complex_det, mat_exp, mat_sqrt_principal, phi1_entire
-from .metaplectic import cocycle_eta
+from .matfunc import complex_det, imag_trace_log, mat_exp, mat_sqrt_principal, phi1_entire
+from .metaplectic import LiftedSymplectic, cocycle_eta, mp_multiply
 from .inhomogeneous import LiftedGaussian
 from .phase_space import Species, delta_y_z, split_cd
 
@@ -31,10 +33,8 @@ from .phase_space import Species, delta_y_z, split_cd
 #: poles sit at 2 pi i k, so the series converges comfortably up to here)
 _BETA_SERIES_RADIUS = 4.0
 
-_TRACK_START_STEPS = 64
-_TRACK_MAX_STEPS = 2 ** 16
-_TRACK_CONVERGENCE = 1e-10
-_TRACK_MAX_STEP_ANGLE = np.pi / 4
+#: spectral norm of K / 2^s at which scaling and squaring starts its lift
+_SQUARING_NORM = 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,77 +145,31 @@ def sigma_map(kgen, k):
     return y + 4.0 * _beta_function(kgen)
 
 
-def _holomorphic_det_path_value(kgen, k, t, cache):
-    m = cache.get(t)
-    if m is None:
-        m = mat_exp(t * kgen)
-        cache[t] = m
-    return complex_det(split_cd(m, k)[0])
-
-
-class _Refine(Exception):
-    def __init__(self, message, t_bad=None):
-        super().__init__(message)
-        self.t_bad = t_bad
-
-
-def _tracked_angle(kgen, k, steps, cache):
-    ts = [i / steps for i in range(steps + 1)]
-    vals = np.array([_holomorphic_det_path_value(kgen, k, t, cache) for t in ts])
-    mags = np.abs(vals)
-    worst = int(np.argmin(mags))
-    if mags[worst] < 1e-10 * max(np.max(mags), 1e-30):
-        raise _Refine("determinant nearly vanishes at a sample point", t_bad=ts[worst])
-    increments = np.angle(vals[1:] / vals[:-1])
-    if np.max(np.abs(increments)) >= _TRACK_MAX_STEP_ANGLE:
-        raise _Refine("phase increment exceeds pi/4")
-    return float(np.sum(increments))
-
-
 def vacuum_phase_tracked(kgen, k):
-    """Measured vacuum phase of e^{K-hat} by continuous square-root tracking.
+    """Measured vacuum phase of e^{K-hat} by scaling and squaring in the double cover.
 
-    Tracks the angle of the holomorphic determinant of C_{e^{tK}} along
-    t in [0, 1], halves it, and applies the species sign (inverse determinant
-    for bosons).  The grid starts at 64 steps and doubles until two
-    consecutive refinements agree to 1e-10 and every per-step increment stays
-    below pi/4; persistent zeros of the determinant raise a path-singularity
-    error.
+    Picks the least s >= 0 with ||K / 2^s||_2 <= 1/4 and lifts e^{K/2^s} on
+    the branch continuous from the identity: there ||C - I|| < 0.3, so every
+    eigenvalue of C stays off the cut and psi = e^{(i/2) Im Tr log C} (the sum
+    of principal eigenvalue angles, right for any N, unlike the principal root
+    of det C).  Squaring this lift s times with ``mp_multiply`` gives the lift
+    of e^K, psi* for bosons and psi for fermions.  The name says which phase
+    this is: the one that continuous tracking along t -> e^{tK} from +1 at
+    t = 0 defines, which squaring reaches exactly without a grid.
+
+    Envelope: every square e^{K/2^j} (j >= 1) needs an invertible C, because
+    the cocycle reads its Z map; otherwise a ``NumericalDomainError`` is
+    raised and no branch is guessed.
     """
     kgen = np.asarray(kgen, dtype=float)
     if not kgen.any():
         return 1.0 + 0.0j
-    sign = -1.0 if k.species is Species.BOSON else 1.0
-    steps = _TRACK_START_STEPS
-    cache = {}
-    prev = None
-    last_refine = None
-    last_zero = None  # (t, steps) of the previous near-zero sample
-    while steps <= _TRACK_MAX_STEPS:
-        try:
-            theta = _tracked_angle(kgen, k, steps, cache)
-        except _Refine as exc:
-            if exc.t_bad is not None:
-                if last_zero is not None and abs(exc.t_bad - last_zero[0]) <= 2.0 / last_zero[1]:
-                    raise PathSingularityError(
-                        f"determinant vanishes persistently near t = {exc.t_bad:.6g} "
-                        "on the tracking path"
-                    ) from exc
-                last_zero = (exc.t_bad, steps)
-            last_refine = exc
-            steps *= 2
-            prev = None
-            continue
-        phase = np.exp(0.5j * sign * theta)
-        if prev is not None and abs(phase - prev) < _TRACK_CONVERGENCE:
-            return complex(phase)
-        prev = phase
-        steps *= 2
-    if last_refine is not None:
-        raise PathSingularityError(
-            f"phase tracking failed at {_TRACK_MAX_STEPS} steps: {last_refine}"
-        )
-    raise PathSingularityError("phase tracking did not converge within the step cap")
+    s = max(0, int(np.ceil(np.log2(np.linalg.norm(kgen, 2) / _SQUARING_NORM))))
+    m = mat_exp(kgen / 2.0 ** s)
+    lifted = LiftedSymplectic(m=m, psi=np.exp(0.5j * imag_trace_log(split_cd(m, k)[0])), k=k)
+    for _ in range(s):
+        lifted = mp_multiply(lifted, lifted)
+    return complex(np.conj(lifted.psi) if k.species is Species.BOSON else lifted.psi)
 
 
 def vacuum_phase_stable(kgen, k):
@@ -279,8 +233,8 @@ def lift_from_gqh(ham, k):
     """Lift e^{-iH} for a bosonic H = (h, f, c) to its triple (M, z, Psi).
 
     M = e^{Omega h}, z = z_from_hf, and Psi conjugates the measured phase:
-    Psi = Phi* e^{ic} e^{-i z omega Sigma(K) z / 4}.  The measured phase Phi is
-    always the tracked one (``vacuum_phase_tracked``).
+    Psi = Phi* e^{ic} e^{-i z omega Sigma(K) z / 4}.  The measured phase Phi
+    comes from ``vacuum_phase_tracked`` (scaling and squaring).
     """
     if ham.species is not Species.BOSON or k.species is not Species.BOSON:
         raise InputError("generator lifting covers bosons")

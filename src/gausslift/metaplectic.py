@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, NumericalDomainError, UnitarilyOrthogonalError
-from .matfunc import complex_det, imag_trace_log, mat_sqrt_principal
+from .matfunc import complex_det, imag_trace_log, mat_sqrt_principal, pfaffian
 from .phase_space import (
     KahlerStructure,
+    Species,
     delta_y_z,
     require_same_reference,
     split_cd,
@@ -68,8 +69,13 @@ def circle_function(m, k):
 def cocycle_eta(m1, m2, k):
     """Homogeneous cocycle Im Tr-bar log(I - Z_{M1} Z_{M2^{-1}}).
 
-    Returned unreduced (a sum over modes); reduce mod 2pi only in comparisons.
-    Requires both Z maps to exist, i.e. invertible C parts.
+    Bosons: returned unreduced (a sum over modes); reduce mod 2pi only in
+    comparisons.  Fermions: the Z maps are unbounded, so eigenvalues of
+    I - Z1 Z2 can sit on the negative axis, where principal angles cannot
+    tell eta from eta + 2pi.  They come in degenerate pairs, and
+    e^{i eta/2} is the phase of the Pfaffian square root of the determinant,
+    so eta is returned in (-2pi, 2pi] from that root.  Requires both Z maps
+    to exist, i.e. invertible C parts.
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
@@ -77,8 +83,29 @@ def cocycle_eta(m1, m2, k):
     z2 = delta_y_z(np.linalg.inv(m2), k).z
     if z1 is None or z2 is None:
         raise NumericalDomainError("cocycle undefined: a Z map does not exist (singular C)")
-    arg = np.eye(k.dim) - z1 @ z2
-    return imag_trace_log(arg)
+    if k.species is Species.BOSON:
+        return imag_trace_log(np.eye(k.dim) - z1 @ z2)
+    return 2.0 * float(np.angle(_fermion_cocycle_root(z1, z2, k.n_modes)))
+
+
+def _fermion_cocycle_root(z1, z2, n):
+    """Pfaffian square root of det(I - Z1 Z2) for antilinear, antisymmetric Z.
+
+    An antilinear Z acts as v -> a conj(v) on the complex coordinates, with
+    a = Z_qq - i Z_qp antisymmetric, so the complexified I - Z1 Z2 is
+    I - a1 conj(a2) and its determinant is the square of
+    Pf([[a1, I], [-I, -conj(a2)]]), signed to be 1 at Z1 = Z2 = 0.
+    """
+    a1 = z1[:n, :n] - 1j * z1[:n, n:]
+    a2 = np.conj(z2[:n, :n] - 1j * z2[:n, n:])
+    eye = np.eye(n)
+    vals = np.abs(np.linalg.eigvals(eye - a1 @ a2))
+    if np.min(vals) < 1e-13 * max(1.0, np.max(vals)):
+        raise UnitarilyOrthogonalError(
+            "I - Z1 Z2 is singular: the product is unitarily orthogonal to the identity"
+        )
+    sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
+    return sign * pfaffian(np.block([[a1, eye], [-eye, -a2]]))
 
 
 def cartan(m, k):

@@ -185,10 +185,16 @@ class TestErrorPaths:
                         "hamiltonians": [{"h": [[1, 0], [0, 1]], "c": "x"}]}),
             (["compose"], {"species": "boson", "N": 1,
                            "elements": [{"M": [[1, 0], [0, 1]], "Psi": ["a", 0]}]}),
+            (["compose"], [1, 2]),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time=5)),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": 5}),
+            (["lift"], {"species": "boson", "N": 1, "hamiltonians": [5]}),
+            (["compose"], {"species": "boson", "N": 1, "elements": [5]}),
         ],
         ids=["N-text", "nmax-flag-text", "t-text", "verify-two-cutoffs", "grid-axis-pair",
              "grid-axis-text", "tau-flag-text", "nmax-not-list", "t-max-text", "h-text",
-             "c-text", "psi-text"],
+             "c-text", "psi-text", "document-not-object", "time-not-object",
+             "grid-not-object", "hamiltonian-not-object", "element-not-object"],
     )
     def test_malformed_value_exits_two(self, tmp_path, capsys, argv, doc):
         assert run(argv + ["--input", write_doc(tmp_path, doc)]) == 2

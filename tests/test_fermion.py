@@ -5,6 +5,7 @@ import scipy.linalg
 from conftest import random_antisymmetric
 from gausslift import (
     ReflectionVector,
+    Species,
     build_majorana,
     cocycle_eta,
     complex_det,
@@ -15,10 +16,12 @@ from gausslift import (
     reference_reflection,
     so_generator,
     split_cd,
+    standard_kahler,
+    vacuum_phase_tracked,
     validate_group_element,
     wrap_angle,
 )
-from gausslift.errors import InputError
+from gausslift.errors import InputError, UnitarilyOrthogonalError
 from gausslift.fermion import normalize_reflection
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -166,6 +169,37 @@ class TestPinComponentPhase:
         w = reference_reflection(kf2)
         with pytest.raises(InputError):
             pin_component_phase(0.5 * np.eye(4), w, kf2)
+
+
+def q_plane_rotation(theta):
+    """Generator of a rotation by theta in the q1-q2 plane of two modes."""
+    h = np.zeros((4, 4))
+    h[0, 1], h[1, 0] = theta, -theta
+    return h
+
+
+class TestVacuumPhaseVsOracle:
+    # det C = cos^2(theta/2) stays real and non-negative on this path, so
+    # the sign change of the amplitude past theta = pi is invisible to det C
+    @pytest.mark.parametrize("theta", [np.pi + 1e-4, 1.5 * np.pi], ids=["past-pi", "3pi/2"])
+    def test_rotation_past_a_zero_of_det_c(self, kf2, theta):
+        h = q_plane_rotation(theta)
+        amp = fermion_vacuum_amplitude(h)
+        phase = vacuum_phase_tracked(h, kf2)
+        assert phase == pytest.approx(amp / abs(amp), abs=1e-10)
+
+    def test_unitarily_orthogonal_rejected(self, kf2):
+        with pytest.raises(UnitarilyOrthogonalError):
+            vacuum_phase_tracked(q_plane_rotation(np.pi), kf2)
+
+    @pytest.mark.parametrize("n_modes", [2, 4])
+    def test_random_generators(self, rng, n_modes):
+        k = standard_kahler(n_modes, Species.FERMION)
+        rep = build_majorana(n_modes)
+        for _ in range(10):
+            h = random_antisymmetric(rng, 2 * n_modes, scale=rng.uniform(0.5, 6.0))
+            amp = fermion_vacuum_amplitude(h, rep)
+            assert vacuum_phase_tracked(h, k) == pytest.approx(amp / abs(amp), abs=1e-10)
 
 
 class TestFermionCocyclePaths:

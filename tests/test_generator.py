@@ -10,6 +10,8 @@ from gausslift import (
     lift_from_gqh,
     mat_exp,
     sigma_map,
+    standard_kahler,
+    truncation_reliable,
     vacuum_amplitude_gqh,
     vacuum_phase_stable,
     vacuum_phase_tracked,
@@ -172,6 +174,30 @@ class TestTrackedPhase:
         amp = vacuum_amplitude_gqh(QuadraticHamiltonian(h=FIG2_STABLE[0]), 1.0, rep)
         tracked = vacuum_phase_tracked(k1.omega @ FIG2_STABLE[0], k1)
         assert tracked == pytest.approx(amp / abs(amp), abs=1e-7)
+
+    @pytest.mark.parametrize("n_modes", [13, 16])
+    def test_starting_branch_beyond_principal_root(self, n_modes):
+        # det C of e^{J/4} has argument N/4, past pi from N = 13, so the
+        # principal root of det C would start the squaring off by pi
+        k = standard_kahler(n_modes)
+        phase = vacuum_phase_tracked(0.25 * np.asarray(k.j), k)
+        assert phase == pytest.approx(np.exp(-1j * n_modes / 8.0), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "h", [np.diag([1.5, -1.0]), np.array([[0.3, 2.0], [2.0, 0.2]])], ids=["diag", "mixed"]
+    )
+    def test_unstable_single_mode_vs_fock(self, k1, h):
+        rep = build_fock(1, 400)
+        ham = QuadraticHamiltonian(h=h, f=np.array([0.3, -0.2]), c=0.4)
+        checked = 0
+        for t in (0.5, 1.0, 1.5):
+            if not truncation_reliable(ham, t, rep):
+                continue
+            amp = vacuum_amplitude_gqh(ham, t, rep)
+            lifted = lift_from_gqh(ham.scaled(t), k1)
+            assert np.conj(lifted.psi) == pytest.approx(amp / abs(amp), abs=1e-10)
+            checked += 1
+        assert checked
 
 
 class TestStablePhase:

@@ -14,6 +14,7 @@ from gausslift import (
     wrap_angle,
 )
 from gausslift.errors import CommutationError, InvalidStructureError, SpectrumOnCutError
+from gausslift.matfunc import pfaffian
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -165,6 +166,27 @@ class TestImagTraceLog:
     def test_cut_error(self):
         with pytest.raises(SpectrumOnCutError):
             imag_trace_log(-np.eye(2))
+
+
+class TestPfaffian:
+    def test_square_is_determinant(self, rng):
+        for n in (2, 4, 6, 8, 10):
+            a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            a = a - a.T
+            det = np.linalg.det(a)
+            assert abs(pfaffian(a) ** 2 - det) < 1e-12 * abs(det)
+
+    def test_sign_of_standard_form(self):
+        # Pf([[0, I], [-I, 0]]) = (-1)^{N(N-1)/2}
+        for n in range(1, 6):
+            eye = np.eye(n)
+            zero = np.zeros((n, n))
+            omega = np.block([[zero, eye], [-eye, zero]])
+            assert pfaffian(omega) == (-1.0) ** (n * (n - 1) // 2)
+
+    def test_two_by_two_and_odd(self):
+        assert pfaffian(np.array([[0.0, 2.5j], [-2.5j, 0.0]])) == 2.5j
+        assert pfaffian(np.zeros((3, 3))) == 0.0
 
 
 class TestWrapAngle:
