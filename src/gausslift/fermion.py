@@ -114,7 +114,7 @@ def pin_component_phase(m, refl, k):
     if k.species is not Species.FERMION:
         raise InputError("Pin phases belong to the fermionic component")
     m = np.asarray(m, dtype=float)
-    ok, residual = validate_group_element(m, k, tol=1e-8)
+    ok, residual = validate_group_element(m, k)
     if not ok:
         raise InputError(f"matrix is not orthogonal (residual {residual:.3g})")
     det = float(np.linalg.det(m))

@@ -253,12 +253,13 @@ def lift_from_gqh(ham, k):
 def gqh_overlap_analytic(ham, k):
     """Full complex <0| e^{-iH} |0>: measured phase times closed-form modulus.
 
-    The modulus is sqrt(e^{-z g (I + delta)^{-1} z} / |complex_det(C_M)|).
+    The modulus is sqrt(e^{-z g (I + delta)^{-1} z} / |complex_det(C_M)|),
+    with (I + delta)^{-1} = (I + Y_M)/2, so no inverse of I + delta is formed.
     """
     lifted = lift_from_gqh(ham, k)
     m, z = lifted.m, lifted.z
-    delta = delta_y_z(m, k).delta
-    zq = z @ k.metric_inv @ np.linalg.solve(np.eye(k.dim) + delta, z)
+    y = delta_y_z(m, k).y
+    zq = 0.5 * z @ k.metric_inv @ (z + y @ z)
     c_part, _ = split_cd(m, k)
     modulus = np.sqrt(np.exp(-zq) / abs(complex_det(c_part)))
     return modulus * np.conj(lifted.psi)

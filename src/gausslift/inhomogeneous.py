@@ -11,12 +11,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError, NumericalDomainError
-from .matfunc import imag_trace_log
-from .metaplectic import mp_lift
+from .metaplectic import cocycle_eta, mp_lift
 from .phase_space import (
     KahlerStructure,
     Species,
     delta_y_z,
+    group_inverse,
     require_same_reference,
     validate_group_element,
 )
@@ -49,7 +49,7 @@ class LiftedGaussian:
         m = np.asarray(self.m, dtype=float)
         z = np.asarray(self.z, dtype=float)
         psi = complex(self.psi)
-        ok, residual = validate_group_element(m, self.k, tol=1e-8)
+        ok, residual = validate_group_element(m, self.k)
         if not ok:
             raise InputError(f"matrix is not a group element (residual {residual:.3g})")
         if z.shape != (self.k.dim,):
@@ -60,11 +60,11 @@ class LiftedGaussian:
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "psi", psi)
 
-    def is_identity(self, tol=0.0):
+    def is_identity(self):
         return (
-            np.max(np.abs(self.m - np.eye(self.k.dim))) <= tol
-            and np.max(np.abs(self.z)) <= tol
-            and abs(self.psi - 1.0) <= tol
+            np.array_equal(self.m, np.eye(self.k.dim))
+            and not np.any(self.z)
+            and self.psi == 1.0
         )
 
 
@@ -118,32 +118,20 @@ def dsq_overlap(m, z, k):
     return det ** 0.125 * np.exp(-quad) * np.exp(1j * gamma)
 
 
-def _eta_via_y(m1, m2, k):
-    # Result-1 form of the homogeneous cocycle: Im Tr-bar log(I - Y_{M1^-1} Y_{M2}).
-    # Since I + delta_M = 2 M C_{M^-1}, Y_M exists exactly when Z_{M^-1} does
-    # (Y_M = Z_{M^-1}), so this form and cocycle_eta share their domain.  They
-    # differ only in the singularity thresholds of delta_y_z:
-    # cond(I + delta) > 1e13 here, sigma_min(C) < 1e-9 sigma_max for Z.
-    # cocycle_eta is kept as the independent evaluation the tests compare
-    # zeta_cocycle against.
-    y1 = delta_y_z(np.linalg.inv(m1), k).y
-    y2 = delta_y_z(m2, k).y
-    return imag_trace_log(np.eye(k.dim) - y1 @ y2)
-
-
 def zeta_cocycle(m1, z1, m2, z2, k):
     """Inhomogeneous cocycle of Result-type composition:
 
     eta(M1, M2)/2 + gamma(M1, z1) + gamma(M2, z2)
     - gamma(M1 M2, z1 + M1 z2) - omega(z1, M1 z2)/2,
 
-    with eta evaluated through Y maps.  Unreduced; wrap only in comparisons.
+    with eta = ``cocycle_eta`` (for fermions its Pfaffian root).  Unreduced;
+    wrap only in comparisons.
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
-    eta = _eta_via_y(m1, m2, k)
+    eta = cocycle_eta(m1, m2, k)
     m1z2 = m1 @ z2
     zeta = 0.5 * eta
     zeta += gamma_phase(m1, z1, k) + gamma_phase(m2, z2, k)
@@ -189,7 +177,7 @@ def ig_from_parts(theta, z, lifted):
 
 def ig_inverse(u):
     """Group inverse: phase solved from U U^{-1} = identity."""
-    minv = np.linalg.inv(u.m)
+    minv = group_inverse(u.m, u.k)
     zinv = -(minv @ u.z)
     zeta = zeta_cocycle(u.m, u.z, minv, zinv, u.k)
     psi = np.conj(u.psi * np.exp(1j * zeta))

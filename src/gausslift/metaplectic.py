@@ -12,15 +12,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalDomainError, UnitarilyOrthogonalError
+from .errors import InputError, UnitarilyOrthogonalError
 from .matfunc import complex_det, imag_trace_log, mat_sqrt_principal, pfaffian
 from .phase_space import (
     KahlerStructure,
     Species,
     delta_y_z,
+    group_inverse,
     require_same_reference,
     split_cd,
     validate_group_element,
+    z_map,
 )
 
 #: tolerance for the psi^2 = phi(M) membership check of a lifted element
@@ -38,7 +40,7 @@ class LiftedSymplectic:
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
         psi = complex(self.psi)
-        ok, residual = validate_group_element(m, self.k, tol=1e-8)
+        ok, residual = validate_group_element(m, self.k)
         if not ok:
             raise InputError(f"matrix is not a group element (residual {residual:.3g})")
         if abs(abs(psi) - 1.0) > 1e-10:
@@ -74,15 +76,13 @@ def cocycle_eta(m1, m2, k):
     I - Z1 Z2 can sit on the negative axis, where principal angles cannot
     tell eta from eta + 2pi.  They come in degenerate pairs, and
     e^{i eta/2} is the phase of the Pfaffian square root of the determinant,
-    so eta is returned in (-2pi, 2pi] from that root.  Requires both Z maps
-    to exist, i.e. invertible C parts.
+    so eta is returned in (-2pi, 2pi] from that root.  Only the two Z maps
+    are formed, Z_{M2^{-1}} through the group inverse; a singular C of M1 or
+    M2 raises ``NumericalDomainError``.  The same eta serves both species in
+    ``mp_multiply`` and ``zeta_cocycle``.
     """
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    z1 = delta_y_z(m1, k).z
-    z2 = delta_y_z(np.linalg.inv(m2), k).z
-    if z1 is None or z2 is None:
-        raise NumericalDomainError("cocycle undefined: a Z map does not exist (singular C)")
+    z1 = z_map(m1, k)
+    z2 = z_map(group_inverse(m2, k), k)
     if k.species is Species.BOSON:
         return imag_trace_log(np.eye(k.dim) - z1 @ z2)
     return 2.0 * float(np.angle(_fermion_cocycle_root(z1, z2, k.n_modes)))

@@ -5,7 +5,7 @@ All matrices are stored in the real quadrature basis (q_1..q_N, p_1..p_N).
 
 import enum
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,14 +87,24 @@ def require_same_reference(a, b):
         raise InputError("operands carry different Kähler references")
 
 
-def validate_group_element(m, k, tol=1e-10):
-    """Check M Lambda M^T = Lambda; returns (ok, residual)."""
+#: largest max-abs residual of M Lambda M^T - Lambda accepted for a group element
+GROUP_RESIDUAL_TOL = 1e-8
+
+
+def validate_group_element(m, k):
+    """Check M Lambda M^T = Lambda to ``GROUP_RESIDUAL_TOL``; returns (ok, residual)."""
     m = np.asarray(m, dtype=float)
     if m.shape != (k.dim, k.dim):
         raise InputError(f"group element must have shape {(k.dim, k.dim)}, got {m.shape}")
     lam = k.fundamental_form
     residual = float(np.max(np.abs(m @ lam @ m.T - lam)))
-    return residual <= tol, residual
+    return residual <= GROUP_RESIDUAL_TOL, residual
+
+
+def group_inverse(m, k):
+    """M^{-1} = Lambda M^T Lambda^T of a group element (M^T for fermions)."""
+    lam = k.fundamental_form
+    return lam @ np.asarray(m, dtype=float).T @ lam.T
 
 
 def split_cd(m, k):
@@ -104,39 +114,34 @@ def split_cd(m, k):
     return (m - jmj) / 2.0, (m + jmj) / 2.0
 
 
+def z_map(m, k):
+    """Squeeze map Z_M = C^{-1} D; a numerically singular C raises."""
+    c, d = split_cd(m, k)
+    sv = np.linalg.svd(c, compute_uv=False)
+    if sv[-1] < 1e-9 * max(sv[0], 1.0):
+        raise NumericalDomainError("C_M is singular: the Z map does not exist")
+    return np.linalg.solve(c, d)
+
+
 class DeltaYZ(NamedTuple):
     delta: np.ndarray
     y: np.ndarray
-    z: Optional[np.ndarray]
+    z: np.ndarray
 
 
 def delta_y_z(m, k):
     """Squeeze-sector maps of a group element.
 
     delta = -M J M^{-1} J (equals M M^T for bosons at the standard structure),
-    y = (I - delta)(I + delta)^{-1}, and z = C^{-1} D when C is invertible.
-    A singular C is data, not an error: z is then None.
+    y = (I - delta)(I + delta)^{-1} and z = C^{-1} D.  Since
+    I + delta_M = 2 M C_{M^{-1}}, y is the Z map of the group inverse, so no
+    inverse of M or of I + delta is formed.  Both maps need an invertible C,
+    and C_M is singular exactly when C_{M^{-1}} is (|det C| >= 1 for bosons,
+    C_{M^T} = C_M^T for fermions); then ``NumericalDomainError`` is raised.
     """
     m = np.asarray(m, dtype=float)
-    n2 = m.shape[0]
-    eye = np.eye(n2)
-    try:
-        minv_j = np.linalg.solve(m, k.j)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError("group element is singular") from exc
-    delta = -m @ k.j @ minv_j
-    ipd = eye + delta
-    if np.linalg.cond(ipd) > 1e13:
-        raise NumericalDomainError("(I + delta) is numerically singular")
-    y = np.linalg.solve(ipd, eye - delta)
-    c, d = split_cd(m, k)
-    sv = np.linalg.svd(c, compute_uv=False)
-    # a (near-)singular C is data, not failure: the Z map simply does not exist
-    if sv[-1] < 1e-9 * max(sv[0], 1.0):
-        z = None
-    else:
-        z = np.linalg.solve(c, d)
-    return DeltaYZ(delta=delta, y=y, z=z)
+    minv = group_inverse(m, k)
+    return DeltaYZ(delta=-m @ k.j @ minv @ k.j, y=z_map(minv, k), z=z_map(m, k))
 
 
 def random_group_element(k, rng, scale=1.0):

@@ -20,6 +20,7 @@ from gausslift import (
     vacuum_phase_tracked,
     validate_group_element,
     wrap_angle,
+    zeta_cocycle,
 )
 from gausslift.errors import InputError, UnitarilyOrthogonalError
 from gausslift.fermion import normalize_reflection
@@ -188,6 +189,15 @@ class TestVacuumPhaseVsOracle:
         phase = vacuum_phase_tracked(h, kf2)
         assert phase == pytest.approx(amp / abs(amp), abs=1e-10)
 
+    @pytest.mark.parametrize("theta", [np.pi + 1e-4, 1.5 * np.pi], ids=["past-pi", "3pi/2"])
+    def test_zeta_cocycle_of_half_rotations(self, kf2, theta):
+        # the inhomogeneous cocycle at z = 0 carries the Pfaffian-rooted eta
+        m = mat_exp(q_plane_rotation(theta / 2))
+        amp = fermion_vacuum_amplitude(q_plane_rotation(theta))
+        half = fermion_vacuum_amplitude(q_plane_rotation(theta / 2))
+        zeta = zeta_cocycle(m, np.zeros(4), m, np.zeros(4), kf2)
+        assert wrap_angle(zeta - np.angle(amp / half ** 2)) == pytest.approx(0.0, abs=1e-10)
+
     def test_unitarily_orthogonal_rejected(self, kf2):
         with pytest.raises(UnitarilyOrthogonalError):
             vacuum_phase_tracked(q_plane_rotation(np.pi), kf2)
@@ -227,5 +237,5 @@ class TestFermionCocyclePaths:
         w = reference_reflection(kf2)
         mw = mw_reflection(w, kf2)
         m = mw @ random_so(rng, 4)
-        ok, _ = validate_group_element(m, kf2, tol=1e-10)
-        assert ok
+        ok, residual = validate_group_element(m, kf2)
+        assert ok and residual <= 1e-10

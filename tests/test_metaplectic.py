@@ -88,8 +88,8 @@ class TestCartan:
             np.testing.assert_allclose(j @ t, np.linalg.inv(t) @ j, atol=1e-9)
             np.testing.assert_allclose(j @ u, u @ j, atol=1e-9)
             np.testing.assert_allclose(u @ u.T, np.eye(4), atol=1e-9)
-            ok, _ = validate_group_element(u, k2, tol=1e-9)
-            assert ok
+            ok, residual = validate_group_element(u, k2)
+            assert ok and residual <= 1e-9
             np.testing.assert_allclose(t, t.T, atol=1e-10)
             assert np.min(np.linalg.eigvalsh((t + t.T) / 2)) > 0
 
