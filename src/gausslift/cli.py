@@ -267,7 +267,8 @@ def _cmd_phase(args):
 
     results = []
     for ham in _parse_hamiltonians(doc, k):
-        kgen = k.omega @ ham.h
+        # the fermionic generator is h itself, as in ``fermion_vacuum_amplitude``
+        kgen = ham.h if species is Species.FERMION else k.omega @ ham.h
         tracked = vacuum_phase_tracked(kgen, k)
         entry = {"phase_tracked": _complex_pair(tracked)}
         try:
@@ -291,11 +292,15 @@ def _cmd_verify(args):
     hams = _parse_hamiltonians(doc, k, minimum=2)
     h1, h2 = hams[0], hams[1]
     t = _convert(float, doc.get("t", args.t), "t")
+    if not np.isfinite(t):
+        raise InputError(f"t (field or --t) must be finite, got {t!r}")
+    tol = args.tol
+    if not (np.isfinite(tol) and tol > 0):
+        raise InputError(f"--tol must be finite and positive, got {tol!r}")
     nmax_list = _parse_nmax_list(args.nmax, [80])
     if len(nmax_list) != 1:
         raise InputError("verify checks a single Fock cutoff")
     nmax = nmax_list[0]
-    tol = args.tol
     rep = build_fock(k.n_modes, nmax)
 
     checks = []
@@ -515,8 +520,6 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except InputError as exc:
         return _fail(2, "input", str(exc))
-    except NumericalDomainError as exc:
-        return _fail(3, "numerical-domain", str(exc))
     except GaussLiftError as exc:
         return _fail(3, "numerical-domain", str(exc))
 

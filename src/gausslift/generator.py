@@ -1,14 +1,13 @@
 """Lifting quadratic Hamiltonians (h, f, c) to lifted triples (M, z, Psi).
 
-The phase of the exponentiated quadratic part comes from scaling and squaring
-in the double cover (``vacuum_phase_tracked``): e^{K/2^s}, close to the
+Lifts and Pin phases come from scaling and squaring: e^{K/2^s}, close to the
 identity, is lifted on its continuous branch and squared s times with the
-group law ``mp_multiply``.  Lifts and Pin phases always use this engine.  Every
-square e^{K/2^j} (j >= 1) must have an invertible C; where one does not, a
-``NumericalDomainError`` is raised and no branch is guessed.  The
-closed form ``vacuum_phase_stable`` for diagonalizable generators with purely
-imaginary spectrum is an independent cross-check (the ``phase`` command reports
-it next to the squared phase), not a path that ``lift_from_gqh`` takes.
+group law ``mp_multiply``; ``lift_from_gqh`` carries the displacement and its
+phase along in displacement-squeezing form.  Every square e^{K/2^j} (j >= 1)
+must have an invertible C; where one does not, a ``NumericalDomainError`` is
+raised and no branch is guessed.  The closed forms ``vacuum_phase_stable``
+(stable bosonic generators) and ``sigma_map`` (spectral radius < 4) are
+independent cross-checks, not paths that the lift takes.
 """
 
 from dataclasses import dataclass
@@ -21,16 +20,15 @@ from .errors import (
     InputError,
     InvalidStructureError,
     NumericalDomainError,
-    ResolventSingularError,
     SpectrumOnCutError,
 )
 from .matfunc import complex_det, imag_trace_log, mat_exp, mat_sqrt_principal, phi1_entire
 from .metaplectic import LiftedSymplectic, cocycle_eta, mp_multiply
-from .inhomogeneous import LiftedGaussian
+from .inhomogeneous import ig_from_parts
 from .phase_space import Species, delta_y_z, split_cd
 
-#: spectral radius below which the odd power series for beta is used (its
-#: poles sit at 2 pi i k, so the series converges comfortably up to here)
+#: spectral radius below which beta is evaluated (by its odd power series,
+#: whose poles sit at 2 pi i k) and beyond which it raises
 _BETA_SERIES_RADIUS = 4.0
 
 #: spectral norm of K / 2^s at which scaling and squaring starts its lift
@@ -95,27 +93,17 @@ _BETA_COEFFS = _beta_series_coefficients()
 
 
 def _beta_function(kmat):
-    """(K - sinh K)(I - cosh K)^{-1} / 4 with the removable zero handled."""
+    """(K - sinh K)(I - cosh K)^{-1} / 4 by its odd power series."""
     kmat = np.asarray(kmat, dtype=float)
-    n = kmat.shape[0]
-    eye = np.eye(n)
-    rho = float(np.max(np.abs(np.linalg.eigvals(kmat)))) if kmat.any() else 0.0
-    if rho < _BETA_SERIES_RADIUS:
-        ksq = kmat @ kmat
-        acc = _BETA_COEFFS[-1] * eye
-        for c in _BETA_COEFFS[-2::-1]:
-            acc = c * eye + ksq @ acc
-        return kmat @ acc
-    import scipy.linalg
-
-    den = eye - scipy.linalg.coshm(kmat)
-    if np.linalg.cond(den) > 1e10:
-        raise ResolventSingularError(
-            "I - cosh K is singular (eigenvalue of K near 2 pi i k) and the "
-            "series radius is exceeded"
-        )
-    num = kmat - scipy.linalg.sinhm(kmat)
-    return 0.25 * np.linalg.solve(den, num)
+    rho = np.max(np.abs(np.linalg.eigvals(kmat)))
+    if rho >= _BETA_SERIES_RADIUS:
+        raise NumericalDomainError(f"beta needs spectral radius below 4, got {rho:.3g}")
+    eye = np.eye(kmat.shape[0])
+    ksq = kmat @ kmat
+    acc = _BETA_COEFFS[-1] * eye
+    for c in _BETA_COEFFS[-2::-1]:
+        acc = c * eye + ksq @ acc
+    return kmat @ acc
 
 
 def z_from_hf(h, f, k):
@@ -133,29 +121,32 @@ def z_from_hf(h, f, k):
 
 
 def sigma_map(kgen, k):
-    """Sigma(K) = Y_{e^K} + 4 beta(K), the quadratic phase kernel of the lift."""
+    """Closed form Y_{e^K} + 4 beta(K) of the lift's phase kernel; spectral radius < 4."""
     kgen = np.asarray(kgen, dtype=float)
-    m = mat_exp(kgen)
-    try:
-        y = delta_y_z(m, k).y
-    except NumericalDomainError as exc:
-        raise ResolventSingularError(
-            "first term of Sigma is singular (element unitarily orthogonal to identity)"
-        ) from exc
-    return y + 4.0 * _beta_function(kgen)
+    return delta_y_z(mat_exp(kgen), k).y + 4.0 * _beta_function(kgen)
+
+
+def _scaled_lift(kgen, k):
+    """Least s >= 0 with ||K / 2^s||_2 <= 1/4, and the lift of e^{K/2^s}.
+
+    There ||C - I|| < 0.3, so psi = e^{(i/2) Im Tr log C} (the sum of principal
+    eigenvalue angles, right for any N, unlike the principal root of det C) is
+    the branch continuous from the identity.
+    """
+    norm = np.linalg.norm(kgen, 2)
+    s = int(np.ceil(np.log2(norm / _SQUARING_NORM))) if norm > _SQUARING_NORM else 0
+    m = mat_exp(kgen / 2.0 ** s)
+    return s, LiftedSymplectic(m=m, psi=np.exp(0.5j * imag_trace_log(split_cd(m, k)[0])), k=k)
 
 
 def vacuum_phase_tracked(kgen, k):
     """Measured vacuum phase of e^{K-hat} by scaling and squaring in the double cover.
 
-    Picks the least s >= 0 with ||K / 2^s||_2 <= 1/4 and lifts e^{K/2^s} on
-    the branch continuous from the identity: there ||C - I|| < 0.3, so every
-    eigenvalue of C stays off the cut and psi = e^{(i/2) Im Tr log C} (the sum
-    of principal eigenvalue angles, right for any N, unlike the principal root
-    of det C).  Squaring this lift s times with ``mp_multiply`` gives the lift
-    of e^K, psi* for bosons and psi for fermions.  The name says which phase
-    this is: the one that continuous tracking along t -> e^{tK} from +1 at
-    t = 0 defines, which squaring reaches exactly without a grid.
+    Squares the lift of e^{K/2^s} from ``_scaled_lift`` s times with
+    ``mp_multiply``, which gives the lift of e^K: psi* for bosons and psi for
+    fermions.  The name says which phase this is: the one that continuous
+    tracking along t -> e^{tK} from +1 at t = 0 defines, which squaring
+    reaches exactly without a grid.
 
     Envelope: every square e^{K/2^j} (j >= 1) needs an invertible C, because
     the cocycle reads its Z map; otherwise a ``NumericalDomainError`` is
@@ -164,9 +155,7 @@ def vacuum_phase_tracked(kgen, k):
     kgen = np.asarray(kgen, dtype=float)
     if not kgen.any():
         return 1.0 + 0.0j
-    s = max(0, int(np.ceil(np.log2(np.linalg.norm(kgen, 2) / _SQUARING_NORM))))
-    m = mat_exp(kgen / 2.0 ** s)
-    lifted = LiftedSymplectic(m=m, psi=np.exp(0.5j * imag_trace_log(split_cd(m, k)[0])), k=k)
+    s, lifted = _scaled_lift(kgen, k)
     for _ in range(s):
         lifted = mp_multiply(lifted, lifted)
     return complex(np.conj(lifted.psi) if k.species is Species.BOSON else lifted.psi)
@@ -232,22 +221,24 @@ def vacuum_phase_stable(kgen, k):
 def lift_from_gqh(ham, k):
     """Lift e^{-iH} for a bosonic H = (h, f, c) to its triple (M, z, Psi).
 
-    M = e^{Omega h}, z = z_from_hf, and Psi conjugates the measured phase:
-    Psi = Phi* e^{ic} e^{-i z omega Sigma(K) z / 4}.  The measured phase Phi
-    comes from ``vacuum_phase_tracked`` (scaling and squaring).
+    Squares e^{-iH/2^s} = e^{i theta} D(z) S s times, with S from
+    ``_scaled_lift``, z = ``z_from_hf`` and theta = z omega beta z - c at
+    H/2^s: (e^{i theta} D(z) S)^2 = e^{2 i theta} D(z) D(Mz) S^2 gives
+    theta -> 2 theta + omega(z, Mz)/2, z -> z + Mz and S -> S S.
     """
     if ham.species is not Species.BOSON or k.species is not Species.BOSON:
         raise InputError("generator lifting covers bosons")
     kgen = k.omega @ ham.h
-    m = mat_exp(kgen)
-    z = z_from_hf(ham.h, ham.f, k)
-    phase = vacuum_phase_tracked(kgen, k)
-    if np.any(z):
-        quad = 0.25 * z @ k.omega_inv @ (sigma_map(kgen, k) @ z)
-    else:
-        quad = 0.0
-    psi = np.conj(phase) * np.exp(1j * (ham.c - quad))
-    return LiftedGaussian(m=m, z=z, psi=psi, k=k)
+    s, lifted = _scaled_lift(kgen, k)
+    step = ham.scaled(2.0 ** -s)
+    z = z_from_hf(step.h, step.f, k)
+    theta = k.omega_bilinear(z, _beta_function(kgen / 2.0 ** s) @ z) - step.c
+    for _ in range(s):
+        mz = lifted.m @ z
+        theta = 2.0 * theta + 0.5 * k.omega_bilinear(z, mz)
+        z = z + mz
+        lifted = mp_multiply(lifted, lifted)
+    return ig_from_parts(theta, z, lifted)
 
 
 def gqh_overlap_analytic(ham, k):

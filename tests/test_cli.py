@@ -14,6 +14,7 @@ FIG2_STABLE_DOC = {
     ],
     "t": 1.0,
 }
+FIG2_STABLE_NO_T = {key: value for key, value in FIG2_STABLE_DOC.items() if key != "t"}
 
 
 def write_doc(tmp_path, doc, name="input.json"):
@@ -104,6 +105,20 @@ class TestPhase:
         out = json.loads(capsys.readouterr().out)
         assert out["phases"][0]["phase_stable"] is None
 
+    @pytest.mark.parametrize("scale", [1.0, 5.0, 9.0])
+    def test_fermion_matches_majorana_oracle(self, tmp_path, capsys, scale):
+        import gausslift as gl
+        from conftest import random_antisymmetric
+
+        h = scale * random_antisymmetric(np.random.default_rng(5), 4)
+        doc = {"species": "fermion", "N": 2, "hamiltonians": [{"h": h.tolist()}]}
+        assert run(["phase", "--input", write_doc(tmp_path, doc)]) == 0
+        entry = json.loads(capsys.readouterr().out)["phases"][0]
+        amp = gl.fermion_vacuum_amplitude(h, gl.build_majorana(2))
+        assert abs(complex(*entry["phase_tracked"]) - amp / abs(amp)) < 1e-12
+        assert entry["phase_stable"] is None
+        assert entry["stable_rejected"]
+
 
 class TestVerify:
     def test_fig2_stable_passes(self, tmp_path, capsys):
@@ -190,11 +205,17 @@ class TestErrorPaths:
             (["sweep-grid"], {"species": "boson", "N": 1, "grid": 5}),
             (["lift"], {"species": "boson", "N": 1, "hamiltonians": [5]}),
             (["compose"], {"species": "boson", "N": 1, "elements": [5]}),
+            (["verify", "--tol", "nan"], FIG2_STABLE_DOC),
+            (["verify", "--tol", "-1"], FIG2_STABLE_DOC),
+            (["verify", "--tol", "0"], FIG2_STABLE_DOC),
+            (["verify", "--t", "nan"], FIG2_STABLE_NO_T),
+            (["verify"], dict(FIG2_STABLE_DOC, t="inf")),
         ],
         ids=["N-text", "nmax-flag-text", "t-text", "verify-two-cutoffs", "grid-axis-pair",
              "grid-axis-text", "tau-flag-text", "nmax-not-list", "t-max-text", "h-text",
              "c-text", "psi-text", "document-not-object", "time-not-object",
-             "grid-not-object", "hamiltonian-not-object", "element-not-object"],
+             "grid-not-object", "hamiltonian-not-object", "element-not-object",
+             "tol-flag-nan", "tol-flag-negative", "tol-flag-zero", "t-flag-nan", "t-infinite"],
     )
     def test_malformed_value_exits_two(self, tmp_path, capsys, argv, doc):
         assert run(argv + ["--input", write_doc(tmp_path, doc)]) == 2

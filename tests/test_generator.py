@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIG2_F, FIG2_STABLE, random_symmetric
 from gausslift import (
@@ -20,6 +22,7 @@ from gausslift import (
 )
 from gausslift.errors import (
     InputError,
+    NumericalDomainError,
     SpectrumOnCutError,
 )
 from gausslift.generator import _beta_function
@@ -69,11 +72,10 @@ class TestAlphaBeta:
             direct = 0.25 * (x - np.sinh(x)) / (1.0 - np.cosh(x))
             np.testing.assert_allclose(b, np.diag([direct, -direct]), atol=1e-12)
 
-    def test_beta_large_spectrum_direct_branch(self):
-        x = 5.0  # beyond the series switch radius, still off the poles
-        b = _beta_function(np.diag([x, -x]))
-        direct = 0.25 * (x - np.sinh(x)) / (1.0 - np.cosh(x))
-        np.testing.assert_allclose(b, np.diag([direct, -direct]), atol=1e-10)
+    def test_beta_outside_series_radius_raises(self):
+        x = 5.0  # beyond the series radius, still off the poles
+        with pytest.raises(NumericalDomainError):
+            _beta_function(np.diag([x, -x]))
 
 
 class TestZFromHF:
@@ -254,6 +256,49 @@ class TestLiftFromGQH:
         assert np.conj(lifted.psi) == pytest.approx(amp / abs(amp), abs=1e-6)
         analytic = gqh_overlap_analytic(ham, k1)
         assert analytic == pytest.approx(amp, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "h",
+        [
+            2 * np.pi * np.eye(2),
+            np.diag([2 * np.pi * 1.3, 2 * np.pi / 1.3]),
+            (2 * np.pi - 1e-3) * np.eye(2),
+        ],
+        ids=["full-turn", "detuned-turns", "below-full-turn"],
+    )
+    def test_beta_poles_against_oracle(self, k1, h):
+        # K = Omega h has eigenvalues at (or next to) the poles 2 pi i k of beta
+        ham = QuadraticHamiltonian(h=h, f=np.array([0.5, 0.3]), c=0.2)
+        amp = vacuum_amplitude_gqh(ham, 1.0, build_fock(1, 120))
+        lifted = lift_from_gqh(ham, k1)
+        assert abs(wrap_angle(np.angle(np.conj(lifted.psi)) - np.angle(amp))) < 1e-10
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 2]),
+        st.floats(0.0, 3.0),
+    )
+    def test_lift_squares_to_lift_of_double(self, seed, n_modes, h_norm):
+        rng = np.random.default_rng(seed)
+        k = standard_kahler(n_modes)
+        ham = QuadraticHamiltonian(
+            h=random_symmetric(rng, 2 * n_modes, scale=h_norm),
+            f=rng.standard_normal(2 * n_modes),
+            c=rng.uniform(-np.pi, np.pi),
+        )
+        lifted = lift_from_gqh(ham, k)
+        square = ig_multiply(lifted, lifted)
+        double = lift_from_gqh(ham.scaled(2.0), k)
+        np.testing.assert_allclose(square.m, double.m, atol=1e-9)
+        np.testing.assert_allclose(square.z, double.z, atol=1e-9)
+        assert abs(wrap_angle(np.angle(square.psi) - np.angle(double.psi))) < 1e-9
+        kgen = k.omega @ ham.h
+        if np.max(np.abs(np.linalg.eigvals(kgen))) < 4.0:
+            z = lifted.z
+            quad = 0.25 * z @ k.omega_inv @ (sigma_map(kgen, k) @ z)
+            closed = np.conj(vacuum_phase_tracked(kgen, k)) * np.exp(1j * (ham.c - quad))
+            assert abs(wrap_angle(np.angle(lifted.psi) - np.angle(closed))) < 1e-10
 
     def test_representation_property(self, rng, k1):
         # the lift is a homomorphism: lift(H1) lift(H2) realizes U1 U2 in all
