@@ -26,14 +26,7 @@ from .fermion import (
     reference_reflection,
     so_generator,
 )
-from .fock import (
-    build_fock,
-    number_expectation,
-    number_expectation_analytic,
-    truncation_reliable_pair,
-    vacuum_amplitude_gqh,
-    zeta_numeric,
-)
+from .fock import _number_expectation_from_parts, _PairOracle, build_fock, vacuum_amplitude_gqh
 from .generator import QuadraticHamiltonian, gqh_overlap_analytic, lift_from_gqh, z_from_hf
 from .inhomogeneous import LiftedGaussian, ig_multiply, zeta_cocycle
 from .matfunc import complex_det, mat_exp, wrap_angle
@@ -313,18 +306,18 @@ def _cmd_verify(args):
     z1 = z_from_hf(h1.h * t, h1.f_or_zero * t, k)
     z2 = z_from_hf(h2.h * t, h2.f_or_zero * t, k)
     zeta_a = wrap_angle(zeta_cocycle(m1, z1, m2, z2, k))
-    zeta_n = zeta_numeric(h1, h2, t, rep)
-    record("zeta", abs(wrap_angle(zeta_a - zeta_n)))
+    oracle = _PairOracle(h1, h2, t, rep)
+    record("zeta", abs(wrap_angle(zeta_a - oracle.zeta)))
     record(
         "number_expectation",
-        abs(number_expectation_analytic(h1, h2, t, k) - number_expectation(h1, h2, t, rep)),
+        abs(_number_expectation_from_parts(m1, m2, z1, z2, k) - oracle.number),
     )
     for name, ham in (("U1", h1), ("U2", h2)):
         amp = vacuum_amplitude_gqh(ham.scaled(t), 1.0, rep)
         analytic = gqh_overlap_analytic(ham.scaled(t), k)
         record(f"{name}_phase", abs(wrap_angle(np.angle(analytic) - np.angle(amp))))
         record(f"{name}_modulus", abs(abs(analytic) - abs(amp)))
-    reliable = truncation_reliable_pair(h1, h2, t, rep)
+    reliable = oracle.reliable
     verdict = all(c["pass"] for c in checks)
     _emit_json(
         {
@@ -372,14 +365,12 @@ def _cmd_sweep_time(args):
         m2 = mat_exp(k.omega @ h2.h * t)
         z1 = z_from_hf(h1.h * t, h1.f_or_zero * t, k)
         z2 = z_from_hf(h2.h * t, h2.f_or_zero * t, k)
+        oracles = [_PairOracle(h1, h2, t, reps[n]) for n in nmax_list]
         row = [_fmt(t), _fmt(wrap_angle(zeta_cocycle(m1, z1, m2, z2, k)))]
-        for n in nmax_list:
-            row.append(_fmt(zeta_numeric(h1, h2, t, reps[n])))
-        row.append(_fmt(number_expectation_analytic(h1, h2, t, k)))
-        for n in nmax_list:
-            row.append(_fmt(number_expectation(h1, h2, t, reps[n])))
-        for n in nmax_list:
-            row.append(str(int(truncation_reliable_pair(h1, h2, t, reps[n]))))
+        row += [_fmt(o.zeta) for o in oracles]
+        row.append(_fmt(_number_expectation_from_parts(m1, m2, z1, z2, k)))
+        row += [_fmt(o.number) for o in oracles]
+        row += [str(int(o.reliable)) for o in oracles]
         rows.append(row)
 
     if args.format == "json":

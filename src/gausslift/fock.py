@@ -157,25 +157,18 @@ def vacuum_amplitude_gqh(ham, t, rep):
     return amp
 
 
+def _excitation(rep, psi):
+    return float(np.real(np.vdot(psi, rep.number_op @ psi)))
+
+
 def mean_excitation(ham, t, rep):
     """<n_total> of e^{-i H t}|0>; the truncation health indicator."""
-    psi = rep._evolution(ham).state(t)
-    return float(np.real(np.vdot(psi, rep.number_op @ psi)))
+    return _excitation(rep, rep._evolution(ham).state(t))
 
 
 def truncation_reliable(ham, t, rep):
     """True while the evolved state stays well inside the cutoff."""
     return mean_excitation(ham, t, rep) <= RELIABILITY_FRACTION * rep.n_max
-
-
-def truncation_reliable_pair(ham1, ham2, t, rep):
-    """Reliability of every amplitude entering the pair comparison."""
-    limit = RELIABILITY_FRACTION * rep.n_max
-    return (
-        mean_excitation(ham1, t, rep) <= limit
-        and mean_excitation(ham2, t, rep) <= limit
-        and number_expectation(ham1, ham2, t, rep) <= limit
-    )
 
 
 def _apply(evolution, t, vec):
@@ -184,25 +177,72 @@ def _apply(evolution, t, vec):
     return scipy.sparse.linalg.expm_multiply(-1j * t * evolution.matrix, vec)
 
 
+class _PairOracle:
+    """Oracle quantities of the pair U1(t) U2(t) at one cutoff.
+
+    ``zeta``, ``number`` and ``reliable`` are computed on first access and
+    share U2(t)|0> and U1(t) U2(t)|0>, so each state is evolved at most once
+    however many of them are read.  Each raises what the public function of
+    the same quantity raises, and only that.
+    """
+
+    def __init__(self, ham1, ham2, t, rep):
+        self.ham1, self.ham2, self.t, self.rep = ham1, ham2, t, rep
+
+    @cached_property
+    def _psi2(self):
+        return self.rep._evolution(self.ham2).state(self.t)
+
+    @cached_property
+    def _psi12(self):
+        return _apply(self.rep._evolution(self.ham1), self.t, self._psi2)
+
+    @cached_property
+    def zeta(self):
+        a1 = vacuum_amplitude_gqh(self.ham1, self.t, self.rep)
+        a2 = vacuum_amplitude_gqh(self.ham2, self.t, self.rep)
+        a12 = complex(np.vdot(self.rep.vacuum, self._psi12))
+        for name, a in (("U1", a1), ("U2", a2), ("U1U2", a12)):
+            if abs(a) <= 1e-12:
+                raise PhaseUndefinedError(f"vacuum amplitude of {name} vanishes; phase undefined")
+        return wrap_angle(np.angle(a1) + np.angle(a2) - np.angle(a12))
+
+    @cached_property
+    def number(self):
+        return _excitation(self.rep, self._psi12)
+
+    @cached_property
+    def reliable(self):
+        limit = RELIABILITY_FRACTION * self.rep.n_max
+        return (
+            mean_excitation(self.ham1, self.t, self.rep) <= limit
+            and _excitation(self.rep, self._psi2) <= limit
+            and self.number <= limit
+        )
+
+
+def truncation_reliable_pair(ham1, ham2, t, rep):
+    """Reliability of every amplitude entering the pair comparison."""
+    return _PairOracle(ham1, ham2, t, rep).reliable
+
+
 def zeta_numeric(ham1, ham2, t, rep):
     """arg(Phi[U1] Phi[U2] / Phi[U1 U2]) reduced to (-pi, pi]."""
-    a1 = vacuum_amplitude_gqh(ham1, t, rep)
-    a2 = vacuum_amplitude_gqh(ham2, t, rep)
-    psi = rep._evolution(ham2).state(t)
-    psi = _apply(rep._evolution(ham1), t, psi)
-    a12 = complex(np.vdot(rep.vacuum, psi))
-    for name, a in (("U1", a1), ("U2", a2), ("U1U2", a12)):
-        if abs(a) <= 1e-12:
-            raise PhaseUndefinedError(f"vacuum amplitude of {name} vanishes; phase undefined")
-    ang = np.angle(a1) + np.angle(a2) - np.angle(a12)
-    return wrap_angle(ang)
+    return _PairOracle(ham1, ham2, t, rep).zeta
 
 
 def number_expectation(ham1, ham2, t, rep):
     """<0| U2(t)^dag U1(t)^dag N U1(t) U2(t) |0> on the truncated space."""
-    psi = rep._evolution(ham2).state(t)
-    psi = _apply(rep._evolution(ham1), t, psi)
-    return float(np.real(np.vdot(psi, rep.number_op @ psi)))
+    return _PairOracle(ham1, ham2, t, rep).number
+
+
+def _number_expectation_from_parts(m1, m2, z1, z2, k):
+    """``number_expectation_analytic`` from M_i(t) = e^{Omega h_i t} and z_i(t)."""
+    m = m1 @ m2
+    zt = z1 + m1 @ z2
+    delta = m @ m.T
+    first = -0.25 * np.trace(np.eye(k.dim) - delta)
+    return float(first + 0.5 * zt @ k.metric_inv @ zt)
 
 
 def number_expectation_analytic(ham1, ham2, t, k):
@@ -219,13 +259,9 @@ def number_expectation_analytic(ham1, ham2, t, k):
     h2 = np.asarray(ham2.h, dtype=float)
     m1 = mat_exp(k.omega @ h1 * t)
     m2 = mat_exp(k.omega @ h2 * t)
-    m = m1 @ m2
     z1 = z_from_hf(h1 * t, _ham_parts(ham1, k.n_modes)[1] * t, k)
     z2 = z_from_hf(h2 * t, _ham_parts(ham2, k.n_modes)[1] * t, k)
-    zt = z1 + m1 @ z2
-    delta = m @ m.T
-    first = -0.25 * np.trace(np.eye(k.dim) - delta)
-    return float(first + 0.5 * zt @ k.metric_inv @ zt)
+    return _number_expectation_from_parts(m1, m2, z1, z2, k)
 
 
 def parity_check(rep):

@@ -10,11 +10,13 @@ raised and no branch is guessed.  The closed forms ``vacuum_phase_stable``
 independent cross-checks, not paths that the lift takes.
 """
 
+import functools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial
 from typing import Optional
 
 import numpy as np
-from scipy.special import zeta as _riemann_zeta
 
 from .errors import (
     InputError,
@@ -82,14 +84,17 @@ class QuadraticHamiltonian:
         )
 
 
+@functools.cache
 def _beta_series_coefficients(count=48):
-    # coefficient of x^(2k-1) in (x - sinh x)/(4(1 - cosh x)) is
-    # k * B_{2k} / (2k)! = 2 k (-1)^{k+1} zeta(2k) / (2 pi)^{2k}
-    ks = np.arange(1, count + 1, dtype=float)
-    return 2.0 * ks * (-1.0) ** (ks + 1) * _riemann_zeta(2 * ks) / (2 * np.pi) ** (2 * ks)
+    """Coefficients k B_{2k} / (2k)! of x^(2k-1) in (x - sinh x)/(4(1 - cosh x)).
 
-
-_BETA_COEFFS = _beta_series_coefficients()
+    Exact in rationals, then rounded once: b_m = B_m / m! solves
+    sum_{j <= m} b_j / (m + 1 - j)! = 0 for m >= 1, with b_0 = 1.
+    """
+    b = [Fraction(1)]
+    for m in range(1, 2 * count + 1):
+        b.append(-sum(bj / factorial(m + 1 - j) for j, bj in enumerate(b)))
+    return tuple(float(k * b[2 * k]) for k in range(1, count + 1))
 
 
 def _beta_function(kmat):
@@ -98,10 +103,11 @@ def _beta_function(kmat):
     rho = np.max(np.abs(np.linalg.eigvals(kmat)))
     if rho >= _BETA_SERIES_RADIUS:
         raise NumericalDomainError(f"beta needs spectral radius below 4, got {rho:.3g}")
+    coeffs = _beta_series_coefficients()
     eye = np.eye(kmat.shape[0])
     ksq = kmat @ kmat
-    acc = _BETA_COEFFS[-1] * eye
-    for c in _BETA_COEFFS[-2::-1]:
+    acc = coeffs[-1] * eye
+    for c in coeffs[-2::-1]:
         acc = c * eye + ksq @ acc
     return kmat @ acc
 

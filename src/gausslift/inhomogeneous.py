@@ -19,6 +19,7 @@ from .phase_space import (
     group_inverse,
     require_same_reference,
     validate_group_element,
+    z_map,
 )
 
 
@@ -95,11 +96,11 @@ def displacement_to_gaussian(d, k):
 
 
 def gamma_phase(m, z, k):
-    """Displaced-squeezing phase omega(z, Y_M z) / 4."""
+    """Displaced-squeezing phase omega(z, Y_M z) / 4, with Y_M = Z_{M^{-1}}."""
     z = np.asarray(z, dtype=float)
     if not np.any(z):
         return 0.0
-    y = delta_y_z(np.asarray(m, dtype=float), k).y
+    y = z_map(group_inverse(m, k), k)
     return 0.25 * k.omega_bilinear(z, y @ z)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import FIG2_F, FIG2_STABLE, FIG2_UNSTABLE
+from conftest import FIG2_F, FIG2_STABLE, FIG2_UNSTABLE, random_gqh
 from gausslift import (
     QuadraticHamiltonian,
     build_fock,
@@ -13,9 +13,18 @@ from gausslift import (
     truncation_reliable,
     truncation_reliable_pair,
     vacuum_amplitude_gqh,
+    wrap_angle,
+    z_from_hf,
     zeta_numeric,
 )
 from gausslift.errors import PhaseUndefinedError, SizeGuardError
+from gausslift.fock import (
+    RELIABILITY_FRACTION,
+    _apply,
+    _number_expectation_from_parts,
+    _PairOracle,
+)
+from gausslift.matfunc import mat_exp
 
 
 class TestBuildFock:
@@ -164,6 +173,84 @@ class TestNumberExpectation:
         for t in (0.5, 2.5, 7.0):
             assert number_expectation(h1, h2, t, rep) == pytest.approx(
                 number_expectation_analytic(h1, h2, t, k1), abs=1e-7
+            )
+
+
+class TestPairOracle:
+    """The shared pair states give the quantities of one evolution per state."""
+
+    @staticmethod
+    def _separately(h1, h2, t, rep):
+        # each state from its own state(t) / _apply call, one quantity at a time
+        ev1, ev2 = rep._evolution(h1), rep._evolution(h2)
+        a1 = vacuum_amplitude_gqh(h1, t, rep)
+        a2 = vacuum_amplitude_gqh(h2, t, rep)
+        a12 = complex(np.vdot(rep.vacuum, _apply(ev1, t, ev2.state(t))))
+        zeta = wrap_angle(np.angle(a1) + np.angle(a2) - np.angle(a12))
+        psi = _apply(ev1, t, ev2.state(t))
+        number = float(np.real(np.vdot(psi, rep.number_op @ psi)))
+        limit = RELIABILITY_FRACTION * rep.n_max
+        psi = _apply(ev1, t, ev2.state(t))
+        reliable = (
+            mean_excitation(h1, t, rep) <= limit
+            and mean_excitation(h2, t, rep) <= limit
+            and float(np.real(np.vdot(psi, rep.number_op @ psi))) <= limit
+        )
+        return zeta, number, reliable
+
+    @pytest.mark.parametrize("pair", [FIG2_STABLE, FIG2_UNSTABLE], ids=["stable", "unstable"])
+    @pytest.mark.parametrize("n_max", [20, 40])
+    def test_matches_separate_evolutions(self, pair, n_max):
+        rep = build_fock(1, n_max)
+        h1 = QuadraticHamiltonian(h=pair[0], f=FIG2_F)
+        h2 = QuadraticHamiltonian(h=pair[1], f=FIG2_F)
+        for t in (0.0, 0.35, 1.7, 4.9, 9.15):
+            oracle = _PairOracle(h1, h2, t, rep)
+            assert (oracle.zeta, oracle.number, oracle.reliable) == self._separately(
+                h1, h2, t, rep
+            )
+
+    def test_matches_separate_evolutions_krylov(self, rng):
+        rep = build_fock(2, 25)  # 676 states: expm_multiply, not the cached eigh
+        hams = [random_gqh(rng, 2, h_scale=0.6) for _ in range(2)]
+        oracle = _PairOracle(hams[0], hams[1], 0.8, rep)
+        assert not rep._evolution(hams[0]).dense
+        assert (oracle.zeta, oracle.number, oracle.reliable) == self._separately(
+            hams[0], hams[1], 0.8, rep
+        )
+
+    def test_public_functions_read_the_oracle(self):
+        rep = build_fock(1, 30)
+        h1 = QuadraticHamiltonian(h=FIG2_UNSTABLE[0], f=FIG2_F)
+        h2 = QuadraticHamiltonian(h=FIG2_UNSTABLE[1], f=FIG2_F)
+        oracle = _PairOracle(h1, h2, 2.2, rep)
+        assert zeta_numeric(h1, h2, 2.2, rep) == oracle.zeta
+        assert number_expectation(h1, h2, 2.2, rep) == oracle.number
+        assert truncation_reliable_pair(h1, h2, 2.2, rep) == oracle.reliable
+
+    def test_vanishing_product_amplitude_raises_only_for_zeta(self):
+        # |<0|D(z)|0>| = e^{-|z|^2/4}: 1.2e-4 for each factor, 2.3e-16 for the product
+        rep = build_fock(1, 350)
+        half = QuadraticHamiltonian(h=np.zeros((2, 2)), f=np.array([6.0, 0.0]))
+        oracle = _PairOracle(half, half, 1.0, rep)
+        with pytest.raises(PhaseUndefinedError, match="U1U2"):
+            oracle.zeta
+        with pytest.raises(PhaseUndefinedError, match="U1U2"):
+            zeta_numeric(half, half, 1.0, rep)
+        assert oracle.number == pytest.approx(72.0, rel=1e-9)
+        assert oracle.number == number_expectation(half, half, 1.0, rep)
+        assert oracle.reliable is truncation_reliable_pair(half, half, 1.0, rep) is True
+
+    def test_analytic_number_from_parts(self, k1):
+        h1 = QuadraticHamiltonian(h=FIG2_UNSTABLE[0], f=FIG2_F)
+        h2 = QuadraticHamiltonian(h=FIG2_UNSTABLE[1], f=FIG2_F)
+        for t in (0.0, 0.35, 1.7, 4.9):
+            m1 = mat_exp(k1.omega @ h1.h * t)
+            m2 = mat_exp(k1.omega @ h2.h * t)
+            z1 = z_from_hf(h1.h * t, h1.f_or_zero * t, k1)
+            z2 = z_from_hf(h2.h * t, h2.f_or_zero * t, k1)
+            assert number_expectation_analytic(h1, h2, t, k1) == (
+                _number_expectation_from_parts(m1, m2, z1, z2, k1)
             )
 
 
