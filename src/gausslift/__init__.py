@@ -41,7 +41,6 @@ from .inhomogeneous import (
     LiftedGaussian,
     disp_multiply,
     displacement_to_gaussian,
-    dsq_overlap,
     gamma_phase,
     ig_decompose,
     ig_from_parts,

@@ -204,6 +204,16 @@ def _emit_csv(header, rows, out_path):
     _write_output("\n".join(lines) + "\n", out_path)
 
 
+def _analytic_pair(h1, h2, t, k):
+    """Analytic zeta, reduced to (-pi, pi], and total number of U1(t) U2(t)."""
+    m1 = mat_exp(k.omega @ h1.h * t)
+    m2 = mat_exp(k.omega @ h2.h * t)
+    z1 = z_from_hf(h1.h * t, h1.f_or_zero * t, k)
+    z2 = z_from_hf(h2.h * t, h2.f_or_zero * t, k)
+    zeta = wrap_angle(zeta_cocycle(m1, z1, m2, z2, k))
+    return zeta, _number_expectation_from_parts(m1, m2, z1, z2, k)
+
+
 def _cmd_compose(args):
     doc = _load_document(args.input)
     species = _parse_species(doc)
@@ -301,19 +311,12 @@ def _cmd_verify(args):
     def record(name, deviation):
         checks.append({"check": name, "deviation": deviation, "pass": bool(deviation < tol)})
 
-    m1 = mat_exp(k.omega @ h1.h * t)
-    m2 = mat_exp(k.omega @ h2.h * t)
-    z1 = z_from_hf(h1.h * t, h1.f_or_zero * t, k)
-    z2 = z_from_hf(h2.h * t, h2.f_or_zero * t, k)
-    zeta_a = wrap_angle(zeta_cocycle(m1, z1, m2, z2, k))
+    zeta, number = _analytic_pair(h1, h2, t, k)
     oracle = _PairOracle(h1, h2, t, rep)
-    record("zeta", abs(wrap_angle(zeta_a - oracle.zeta)))
-    record(
-        "number_expectation",
-        abs(_number_expectation_from_parts(m1, m2, z1, z2, k) - oracle.number),
-    )
+    record("zeta", abs(wrap_angle(zeta - oracle.zeta)))
+    record("number_expectation", abs(number - oracle.number))
     for name, ham in (("U1", h1), ("U2", h2)):
-        amp = vacuum_amplitude_gqh(ham.scaled(t), 1.0, rep)
+        amp = vacuum_amplitude_gqh(ham, t, rep)
         analytic = gqh_overlap_analytic(ham.scaled(t), k)
         record(f"{name}_phase", abs(wrap_angle(np.angle(analytic) - np.angle(amp))))
         record(f"{name}_modulus", abs(abs(analytic) - abs(amp)))
@@ -361,14 +364,11 @@ def _cmd_sweep_time(args):
 
     rows = []
     for t in ts:
-        m1 = mat_exp(k.omega @ h1.h * t)
-        m2 = mat_exp(k.omega @ h2.h * t)
-        z1 = z_from_hf(h1.h * t, h1.f_or_zero * t, k)
-        z2 = z_from_hf(h2.h * t, h2.f_or_zero * t, k)
+        zeta, number = _analytic_pair(h1, h2, t, k)
         oracles = [_PairOracle(h1, h2, t, reps[n]) for n in nmax_list]
-        row = [_fmt(t), _fmt(wrap_angle(zeta_cocycle(m1, z1, m2, z2, k)))]
+        row = [_fmt(t), _fmt(zeta)]
         row += [_fmt(o.zeta) for o in oracles]
-        row.append(_fmt(_number_expectation_from_parts(m1, m2, z1, z2, k)))
+        row.append(_fmt(number))
         row += [_fmt(o.number) for o in oracles]
         row += [str(int(o.reliable)) for o in oracles]
         rows.append(row)

@@ -26,8 +26,8 @@ from .errors import (
 )
 from .matfunc import complex_det, imag_trace_log, mat_exp, mat_sqrt_principal, phi1_entire
 from .metaplectic import LiftedSymplectic, cocycle_eta, mp_multiply
-from .inhomogeneous import ig_from_parts
-from .phase_space import Species, delta_y_z, split_cd
+from .inhomogeneous import _gamma_from_y, ig_from_parts
+from .phase_space import Species, split_cd, y_map
 
 #: spectral radius below which beta is evaluated (by its odd power series,
 #: whose poles sit at 2 pi i k) and beyond which it raises
@@ -129,7 +129,7 @@ def z_from_hf(h, f, k):
 def sigma_map(kgen, k):
     """Closed form Y_{e^K} + 4 beta(K) of the lift's phase kernel; spectral radius < 4."""
     kgen = np.asarray(kgen, dtype=float)
-    return delta_y_z(mat_exp(kgen), k).y + 4.0 * _beta_function(kgen)
+    return y_map(mat_exp(kgen), k) + 4.0 * _beta_function(kgen)
 
 
 def _scaled_lift(kgen, k):
@@ -224,8 +224,8 @@ def vacuum_phase_stable(kgen, k):
     return complex(np.exp(1j * arg))
 
 
-def lift_from_gqh(ham, k):
-    """Lift e^{-iH} for a bosonic H = (h, f, c) to its triple (M, z, Psi).
+def _lift_parts(ham, k):
+    """(theta, z, S) with e^{-iH} = e^{i theta} D(z) S, S a ``LiftedSymplectic``.
 
     Squares e^{-iH/2^s} = e^{i theta} D(z) S s times, with S from
     ``_scaled_lift``, z = ``z_from_hf`` and theta = z omega beta z - c at
@@ -244,19 +244,27 @@ def lift_from_gqh(ham, k):
         theta = 2.0 * theta + 0.5 * k.omega_bilinear(z, mz)
         z = z + mz
         lifted = mp_multiply(lifted, lifted)
-    return ig_from_parts(theta, z, lifted)
+    return theta, z, lifted
+
+
+def lift_from_gqh(ham, k):
+    """Lift e^{-iH} for a bosonic H = (h, f, c) to its triple (M, z, Psi)."""
+    return ig_from_parts(*_lift_parts(ham, k))
 
 
 def gqh_overlap_analytic(ham, k):
     """Full complex <0| e^{-iH} |0>: measured phase times closed-form modulus.
 
-    The modulus is sqrt(e^{-z g (I + delta)^{-1} z} / |complex_det(C_M)|),
-    with (I + delta)^{-1} = (I + Y_M)/2, so no inverse of I + delta is formed.
+    From the parts e^{i theta} D(z) S of ``lift_from_gqh``: the phase is Psi*
+    as ``ig_from_parts`` forms it, the modulus sqrt(e^{-z g (I + Y_M) z / 2} /
+    |complex_det(C_M)|), and one Y_M serves gamma and the modulus.
     """
-    lifted = lift_from_gqh(ham, k)
-    m, z = lifted.m, lifted.z
-    y = delta_y_z(m, k).y
-    zq = 0.5 * z @ k.metric_inv @ (z + y @ z)
-    c_part, _ = split_cd(m, k)
+    theta, z, lifted = _lift_parts(ham, k)
+    gamma = zq = 0.0
+    if np.any(z):
+        y = y_map(lifted.m, k)
+        gamma = _gamma_from_y(y, z, k)
+        zq = 0.5 * z @ k.metric_inv @ (z + y @ z)
+    c_part, _ = split_cd(lifted.m, k)
     modulus = np.sqrt(np.exp(-zq) / abs(complex_det(c_part)))
-    return modulus * np.conj(lifted.psi)
+    return modulus * np.conj(lifted.psi * np.exp(-1j * (theta + gamma)))

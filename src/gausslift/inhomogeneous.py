@@ -3,23 +3,23 @@
 The stored phase follows the convention that the measured vacuum phase of the
 represented unitary is ``Psi*``.  The displacement subgroup stores the operator
 prefactor angle ``theta`` directly, so its embedding into lifted triples is
-``(z, theta) -> (I, z, e^{-i theta})``.
+``(z, theta) -> (I, z, e^{-i theta})``.  Products carry ``zeta_cocycle``;
+the inverse needs no cocycle, since <0|U^{-1}|0> = conj <0|U|0>.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError, NumericalDomainError
+from .errors import InputError
 from .metaplectic import cocycle_eta, mp_lift
 from .phase_space import (
     KahlerStructure,
     Species,
-    delta_y_z,
     group_inverse,
     require_same_reference,
     validate_group_element,
-    z_map,
+    y_map,
 )
 
 
@@ -96,27 +96,15 @@ def displacement_to_gaussian(d, k):
 
 
 def gamma_phase(m, z, k):
-    """Displaced-squeezing phase omega(z, Y_M z) / 4, with Y_M = Z_{M^{-1}}."""
+    """Displaced-squeezing phase omega(z, Y_M z) / 4, with Y_M = ``y_map``."""
     z = np.asarray(z, dtype=float)
     if not np.any(z):
         return 0.0
-    y = z_map(group_inverse(m, k), k)
+    return _gamma_from_y(y_map(m, k), z, k)
+
+
+def _gamma_from_y(y, z, k):
     return 0.25 * k.omega_bilinear(z, y @ z)
-
-
-def dsq_overlap(m, z, k):
-    """Full vacuum overlap of D(z) S(T, 1):
-    det(I - Y^2)^{1/8} e^{-z g (I+Y) z / 4} e^{i gamma}."""
-    m = np.asarray(m, dtype=float)
-    z = np.asarray(z, dtype=float)
-    y = delta_y_z(m, k).y
-    eye = np.eye(k.dim)
-    det = np.linalg.det(eye - y @ y)
-    if det <= 0:
-        raise NumericalDomainError("det(I - Y^2) is not positive")
-    quad = 0.25 * z @ k.metric_inv @ ((eye + y) @ z)
-    gamma = 0.25 * k.omega_bilinear(z, y @ z)
-    return det ** 0.125 * np.exp(-quad) * np.exp(1j * gamma)
 
 
 def zeta_cocycle(m1, z1, m2, z2, k):
@@ -177,12 +165,11 @@ def ig_from_parts(theta, z, lifted):
 
 
 def ig_inverse(u):
-    """Group inverse: phase solved from U U^{-1} = identity."""
+    """Group inverse (M^{-1}, -M^{-1} z, Psi*), since <0|U^{-1}|0> = conj <0|U|0>:
+    eta(M, M^{-1}) = 0 and the gamma terms cancel, so no Z map (and no
+    invertible C) is needed."""
     minv = group_inverse(u.m, u.k)
-    zinv = -(minv @ u.z)
-    zeta = zeta_cocycle(u.m, u.z, minv, zinv, u.k)
-    psi = np.conj(u.psi * np.exp(1j * zeta))
-    return LiftedGaussian(m=minv, z=zinv, psi=psi, k=u.k)
+    return LiftedGaussian(m=minv, z=-(minv @ u.z), psi=np.conj(u.psi), k=u.k)
 
 
 __all__ = [
@@ -190,7 +177,6 @@ __all__ = [
     "LiftedGaussian",
     "disp_multiply",
     "displacement_to_gaussian",
-    "dsq_overlap",
     "gamma_phase",
     "ig_decompose",
     "ig_from_parts",

@@ -18,10 +18,10 @@ from .phase_space import (
     KahlerStructure,
     Species,
     delta_y_z,
-    group_inverse,
     require_same_reference,
     split_cd,
     validate_group_element,
+    y_map,
     z_map,
 )
 
@@ -76,13 +76,13 @@ def cocycle_eta(m1, m2, k):
     I - Z1 Z2 can sit on the negative axis, where principal angles cannot
     tell eta from eta + 2pi.  They come in degenerate pairs, and
     e^{i eta/2} is the phase of the Pfaffian square root of the determinant,
-    so eta is returned in (-2pi, 2pi] from that root.  Only the two Z maps
-    are formed, Z_{M2^{-1}} through the group inverse; a singular C of M1 or
-    M2 raises ``NumericalDomainError``.  The same eta serves both species in
+    so eta is returned in (-2pi, 2pi] from that root.  Only Z_{M1} and
+    Y_{M2} = Z_{M2^{-1}} are formed; a singular C of M1 or M2 raises
+    ``NumericalDomainError``.  The same eta serves both species in
     ``mp_multiply`` and ``zeta_cocycle``.
     """
     z1 = z_map(m1, k)
-    z2 = z_map(group_inverse(m2, k), k)
+    z2 = y_map(m2, k)
     if k.species is Species.BOSON:
         return imag_trace_log(np.eye(k.dim) - z1 @ z2)
     return 2.0 * float(np.angle(_fermion_cocycle_root(z1, z2, k.n_modes)))

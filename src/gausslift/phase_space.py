@@ -1,6 +1,7 @@
 """Kähler structures and the J-relative decompositions of group elements.
 
 All matrices are stored in the real quadrature basis (q_1..q_N, p_1..p_N).
+The squeeze maps are formed only here: Z_M by ``z_map``, Y_M by ``y_map``.
 """
 
 import enum
@@ -123,6 +124,12 @@ def z_map(m, k):
     return np.linalg.solve(c, d)
 
 
+def y_map(m, k):
+    """Y_M = Z_{M^{-1}} through the group inverse; it exists wherever Z_M does, since
+    |det C| >= 1 for bosons and C_{M^T} = C_M^T for fermions."""
+    return z_map(group_inverse(m, k), k)
+
+
 class DeltaYZ(NamedTuple):
     delta: np.ndarray
     y: np.ndarray
@@ -133,15 +140,12 @@ def delta_y_z(m, k):
     """Squeeze-sector maps of a group element.
 
     delta = -M J M^{-1} J (equals M M^T for bosons at the standard structure),
-    y = (I - delta)(I + delta)^{-1} and z = C^{-1} D.  Since
-    I + delta_M = 2 M C_{M^{-1}}, y is the Z map of the group inverse, so no
-    inverse of M or of I + delta is formed.  Both maps need an invertible C,
-    and C_M is singular exactly when C_{M^{-1}} is (|det C| >= 1 for bosons,
-    C_{M^T} = C_M^T for fermions); then ``NumericalDomainError`` is raised.
+    y = (I - delta)(I + delta)^{-1} = ``y_map`` (I + delta_M = 2 M C_{M^{-1}})
+    and z = ``z_map``; a singular C raises ``NumericalDomainError``.
     """
     m = np.asarray(m, dtype=float)
-    minv = group_inverse(m, k)
-    return DeltaYZ(delta=-m @ k.j @ minv @ k.j, y=z_map(minv, k), z=z_map(m, k))
+    delta = -m @ k.j @ group_inverse(m, k) @ k.j
+    return DeltaYZ(delta=delta, y=y_map(m, k), z=z_map(m, k))
 
 
 def random_group_element(k, rng, scale=1.0):

@@ -1,8 +1,12 @@
+import csv
 import json
+import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gausslift import wrap_angle
 from gausslift.cli import main
 
 FIG2_STABLE_DOC = {
@@ -15,6 +19,13 @@ FIG2_STABLE_DOC = {
     "t": 1.0,
 }
 FIG2_STABLE_NO_T = {key: value for key, value in FIG2_STABLE_DOC.items() if key != "t"}
+
+#: the committed Fig. 2 sweep (t in [0, 10] by 0.05, n_max 20, 40, 80) and the
+#: tolerances the benchmark checks it with: oracle columns move in their last
+#: digits with the BLAS thread count, anything beyond is a change of output
+FIG2_SWEEP_REF = Path(__file__).resolve().parents[1] / "bench" / "data" / "fig2_sweep_ref.csv"
+FIG2_RTOL = 1e-9
+FIG2_ATOL = 1e-12
 
 
 def write_doc(tmp_path, doc, name="input.json"):
@@ -273,6 +284,26 @@ class TestSweepTime:
         for line in out.read_text().strip().splitlines()[1:]:
             values = [float(v) for v in line.split(",")[1:-1]]
             assert all(abs(v) < 1e-12 for v in values)
+
+    def test_fig2_sweep_matches_reference(self, tmp_path):
+        doc = dict(FIG2_STABLE_NO_T, time={"t_max": 10.0, "t_step": 0.05})
+        out = tmp_path / "fig2.csv"
+        assert run(["sweep-time", "--input", write_doc(tmp_path, doc), "--nmax", "20,40,80",
+                    "--out", str(out)]) == 0
+        rows = list(csv.reader(out.read_text().splitlines()))
+        ref = list(csv.reader(FIG2_SWEEP_REF.read_text().splitlines()))
+        assert rows[0] == ref[0] and len(rows) == len(ref)
+        for row, expected_row in zip(rows[1:], ref[1:]):
+            for name, value, expected in zip(ref[0], row, expected_row):
+                if name.startswith("reliable"):
+                    ok = value == expected
+                elif name.startswith("zeta"):
+                    ok = abs(wrap_angle(float(value) - float(expected))) <= (
+                        FIG2_ATOL + FIG2_RTOL * abs(float(expected)))
+                else:
+                    ok = math.isclose(float(value), float(expected),
+                                      rel_tol=FIG2_RTOL, abs_tol=FIG2_ATOL)
+                assert ok, f"t={row[0]} {name}: {value} vs reference {expected}"
 
     def test_nmax_flag_overrides(self, tmp_path, capsys):
         doc = write_doc(tmp_path, self._doc())

@@ -258,6 +258,25 @@ class TestLiftFromGQH:
         assert analytic == pytest.approx(amp, abs=1e-6)
 
     @pytest.mark.parametrize(
+        "h, f, closed",
+        [
+            (np.zeros((2, 2)), np.zeros(2), 1.0),
+            # h = 0: z = Omega f, a coherent state with overlap e^{-|z|^2/4}
+            (np.zeros((2, 2)), np.array([0.8, -0.1]), np.exp(-0.25 * 0.65)),
+            # M = diag(2, 1/2) with a displacement
+            (ROT.T @ np.diag([np.log(2.0), -np.log(2.0)]), np.array([1.0, 1.0]), None),
+        ],
+        ids=["identity", "coherent", "squeeze-displaced"],
+    )
+    def test_overlap_against_oracle(self, k1, h, f, closed):
+        ham = QuadraticHamiltonian(h=h, f=f)
+        analytic = gqh_overlap_analytic(ham, k1)
+        amp = vacuum_amplitude_gqh(ham, 1.0, build_fock(1, 80))
+        assert analytic == pytest.approx(amp, abs=1e-10)
+        if closed is not None:
+            assert analytic == pytest.approx(closed, abs=1e-14)
+
+    @pytest.mark.parametrize(
         "h",
         [
             2 * np.pi * np.eye(2),

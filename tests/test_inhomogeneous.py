@@ -14,7 +14,6 @@ from gausslift import (
     cocycle_eta,
     disp_multiply,
     displacement_to_gaussian,
-    dsq_overlap,
     gamma_phase,
     ig_decompose,
     ig_from_parts,
@@ -25,6 +24,7 @@ from gausslift import (
     mp_lift,
     mp_multiply,
     random_group_element,
+    split_cd,
     standard_kahler,
     wrap_angle,
     zeta_cocycle,
@@ -99,29 +99,6 @@ class TestGammaPhase:
         assert gamma_phase(m, lam * z, k) == pytest.approx(
             lam**2 * gamma_phase(m, z, k), abs=1e-12
         )
-
-
-class TestDsqOverlap:
-    def test_vacuum_with_itself(self, k1):
-        assert dsq_overlap(np.eye(2), np.zeros(2), k1) == pytest.approx(1.0)
-
-    def test_coherent_state_modulus(self, k1):
-        z = np.array([0.8, -0.1])
-        expected = np.exp(-0.25 * z @ z)
-        assert dsq_overlap(np.eye(2), z, k1) == pytest.approx(expected, abs=1e-14)
-
-    def test_against_fock_oracle(self, k1):
-        # <0| D(z) S(T, 1) |0> for T = diag(2, 1/2)
-        rep = build_fock(1, 60)
-        z = np.array([1.0, 1.0])
-        q, p = rep.quadratures
-        d_op = scipy.linalg.expm(1j * (z[1] * q - z[0] * p))
-        h_t = k1.omega_inv @ np.diag([np.log(2.0), -np.log(2.0)])
-        squeeze = scipy.linalg.expm(
-            -1j * rep.hamiltonian_matrix(QuadraticHamiltonian(h=h_t)).toarray()
-        )
-        oracle = np.vdot(rep.vacuum, d_op @ (squeeze @ rep.vacuum))
-        assert dsq_overlap(np.diag([2.0, 0.5]), z, k1) == pytest.approx(oracle, abs=1e-7)
 
 
 class TestZetaCocycle:
@@ -253,6 +230,36 @@ class TestDecomposeInverse:
                 np.testing.assert_allclose(prod.m, np.eye(4), atol=1e-9)
                 np.testing.assert_allclose(prod.z, np.zeros(4), atol=1e-9)
                 assert abs(prod.psi - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("species", [Species.BOSON, Species.FERMION], ids=["boson", "fermion"])
+    @pytest.mark.parametrize("n_modes", [1, 2, 4])
+    def test_inverse_phase_is_exact_conjugate(self, rng, species, n_modes):
+        k = standard_kahler(n_modes, species)
+        z_scale = 1.0 if species is Species.BOSON else 0.0
+        for _ in range(5):
+            u = random_lifted(rng, k, z_scale=z_scale, h_scale=2.0)
+            assert ig_inverse(u).psi == np.conj(u.psi)
+
+    @pytest.mark.parametrize("n_modes", [2, 4])
+    def test_fermionic_two_sided_inverse_past_half_turn(self, rng, n_modes):
+        k = standard_kahler(n_modes, Species.FERMION)
+        for _ in range(10):
+            u = random_lifted(rng, k, z_scale=0.0, h_scale=5.0)
+            inv = ig_inverse(u)
+            for prod in (ig_multiply(u, inv), ig_multiply(inv, u)):
+                np.testing.assert_allclose(prod.m, np.eye(k.dim), atol=1e-9)
+                assert abs(prod.psi - 1.0) < 1e-9
+
+    def test_fermionic_half_turn_with_singular_c(self, kf2):
+        # the pi rotation in the q1-q2 plane has C = 0: no Z map exists, but
+        # the inverse needs none
+        m = np.diag([-1.0, -1.0, 1.0, 1.0])
+        assert not np.any(split_cd(m, kf2)[0])
+        psi = np.exp(0.4j)
+        inv = ig_inverse(LiftedGaussian(m=m, z=np.zeros(4), psi=psi, k=kf2))
+        np.testing.assert_array_equal(inv.m, m.T)
+        assert not np.any(inv.z)
+        assert inv.psi == np.conj(psi)
 
 
 class TestSameReference:
