@@ -362,15 +362,33 @@ def _cmd_sweep_time(args):
     header += [f"N_numeric_nmax{n}" for n in nmax_list]
     header += [f"reliable_nmax{n}" for n in nmax_list]
 
+    # Column by column: the analytic columns over the whole grid, then one
+    # batched oracle per cutoff.  Each stage stops at the earliest row that
+    # failed so far, so the error raised is the one a row-by-row sweep
+    # (analytic first, then the cutoffs in order) would meet first.
+    analytic, stop, error = [], len(ts), None
+    for i, t in enumerate(ts):
+        try:
+            analytic.append(_analytic_pair(h1, h2, t, k))
+        except Exception as exc:
+            stop, error = i, exc
+            break
+    oracles = []
+    for n in nmax_list:
+        oracle = _PairOracle(h1, h2, np.array(ts[:stop]), reps[n])
+        if stop and oracle.failure is not None:
+            stop, error = oracle.failure
+        oracles.append(oracle)
+    if error is not None:
+        raise error
+
     rows = []
-    for t in ts:
-        zeta, number = _analytic_pair(h1, h2, t, k)
-        oracles = [_PairOracle(h1, h2, t, reps[n]) for n in nmax_list]
+    for i, (t, (zeta, number)) in enumerate(zip(ts, analytic)):
         row = [_fmt(t), _fmt(zeta)]
-        row += [_fmt(o.zeta) for o in oracles]
+        row += [_fmt(o.zeta[i]) for o in oracles]
         row.append(_fmt(number))
-        row += [_fmt(o.number) for o in oracles]
-        row += [str(int(o.reliable)) for o in oracles]
+        row += [_fmt(o.number[i]) for o in oracles]
+        row += [str(int(o.reliable[i])) for o in oracles]
         rows.append(row)
 
     if args.format == "json":

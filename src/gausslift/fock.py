@@ -3,9 +3,12 @@
 Everything here is brute force on purpose: quadratures are ladder-operator
 matrices at cutoff ``n_max``, unitaries are dense or Krylov exponentials of
 the truncated Hamiltonian, and the reference state is the vacuum vector.
-This module is the independent truth source the analytic phase formulas are
-verified against; it must not import any of them (the analytic number
-expectation below uses only group-level data).
+The evolution of the vacuum and the pair oracle take one time or a 1-D array
+of times; for an array, states are stacked one row per time, and a time
+sweep costs one product per state instead of one per time.  This module is
+the independent truth source the analytic phase formulas are verified
+against; it must not import any of them (the analytic number expectation
+below uses only group-level data).
 """
 
 from functools import cached_property
@@ -27,6 +30,10 @@ _EIGH_LIMIT = 600
 
 #: mean excitation above this fraction of n_max marks results unreliable
 RELIABILITY_FRACTION = 0.5
+
+#: a time grid is evolved this many times at once, so a long sweep holds
+#: (block x dim) states, never (grid length x dim)
+_TIME_BLOCK = 256
 
 
 def _mode_ladder(n_max):
@@ -103,7 +110,11 @@ class FockRep:
 
 
 class _Evolution:
-    """Time evolution e^{-i H t} applied to the vacuum, cached per Hamiltonian."""
+    """Time evolution e^{-i H t} applied to the vacuum, cached per Hamiltonian.
+
+    ``t`` is a time or a 1-D array of times; an array gives one state or
+    amplitude per time, stacked along the first axis.
+    """
 
     def __init__(self, rep, ham):
         self.rep = rep
@@ -115,15 +126,35 @@ class _Evolution:
             self._v = v
             self._v0 = v.conj().T @ rep.vacuum
 
+    def _phases(self, t):
+        return np.exp(-1j * self._w * np.asarray(t)[..., None])
+
     def state(self, t):
         if self.dense:
-            return self._v @ (np.exp(-1j * self._w * t) * self._v0)
-        return scipy.sparse.linalg.expm_multiply(-1j * t * self.matrix, self.rep.vacuum)
+            return _rows(self._v, self._phases(t) * self._v0)
+        return _krylov(self.matrix, t, self.rep.vacuum)
 
     def vacuum_amplitude(self, t):
         if self.dense:
-            return complex(np.sum(np.abs(self._v0) ** 2 * np.exp(-1j * self._w * t)))
-        return complex(np.vdot(self.rep.vacuum, self.state(t)))
+            return np.sum(np.abs(self._v0) ** 2 * self._phases(t), axis=-1)
+        return self.state(t)[..., 0]
+
+
+def _rows(matrix, x):
+    """``matrix @ x`` for a vector, or for each row of a stack of vectors."""
+    return (matrix @ x.T).T
+
+
+def _krylov(matrix, t, vec):
+    """e^{-i H t} vec by Krylov exponentiation, one call per time of a 1-D
+    ``t``; ``vec`` is one vector or one row per time."""
+    if np.ndim(t) == 0:
+        return scipy.sparse.linalg.expm_multiply(-1j * t * matrix, vec)
+    vecs = np.broadcast_to(vec, np.shape(t) + vec.shape[-1:])
+    out = np.empty(vecs.shape, dtype=complex)
+    for i, (ti, v) in enumerate(zip(t, vecs)):
+        out[i] = scipy.sparse.linalg.expm_multiply(-1j * ti * matrix, v)
+    return out
 
 
 def _ham_parts(ham, n_modes):
@@ -147,23 +178,28 @@ def build_fock(n_modes, n_max):
     return FockRep(n_modes, n_max)
 
 
-def vacuum_amplitude_gqh(ham, t, rep):
-    """<0| e^{-i H t} |0> on the truncated space."""
+def _require_boson(ham):
     if getattr(ham, "species", Species.BOSON) is Species.FERMION:
         raise InputError("the Fock oracle is bosonic")
-    amp = rep._evolution(ham).vacuum_amplitude(t)
+
+
+def vacuum_amplitude_gqh(ham, t, rep):
+    """<0| e^{-i H t} |0> on the truncated space."""
+    _require_boson(ham)
+    amp = complex(rep._evolution(ham).vacuum_amplitude(t))
     if abs(amp) > 1.0 + 1e-8:
         raise NumericalDomainError(f"amplitude modulus {abs(amp)} exceeds 1")
     return amp
 
 
 def _excitation(rep, psi):
-    return float(np.real(np.vdot(psi, rep.number_op @ psi)))
+    """<psi|N|psi> of a state, or of each row of a stack of states."""
+    return np.real(np.vecdot(psi, _rows(rep.number_op, psi)))
 
 
 def mean_excitation(ham, t, rep):
     """<n_total> of e^{-i H t}|0>; the truncation health indicator."""
-    return _excitation(rep, rep._evolution(ham).state(t))
+    return float(_excitation(rep, rep._evolution(ham).state(t)))
 
 
 def truncation_reliable(ham, t, rep):
@@ -172,53 +208,91 @@ def truncation_reliable(ham, t, rep):
 
 
 def _apply(evolution, t, vec):
+    """e^{-i H t} vec; for a 1-D ``t``, ``vec`` has one row per time."""
     if evolution.dense:
-        return evolution._v @ (np.exp(-1j * evolution._w * t) * (evolution._v.conj().T @ vec))
-    return scipy.sparse.linalg.expm_multiply(-1j * t * evolution.matrix, vec)
+        return _rows(evolution._v, evolution._phases(t) * _rows(evolution._v.conj().T, vec))
+    return _krylov(evolution.matrix, t, vec)
+
+
+def _scalar(x):
+    """A Python scalar from a 0-d result; an array result unchanged."""
+    return x.item() if np.ndim(x) == 0 else x
 
 
 class _PairOracle:
     """Oracle quantities of the pair U1(t) U2(t) at one cutoff.
 
-    ``zeta``, ``number`` and ``reliable`` are computed on first access and
-    share U2(t)|0> and U1(t) U2(t)|0>, so each state is evolved at most once
-    however many of them are read.  Each raises what the public function of
-    the same quantity raises, and only that.
+    ``t`` is a time or a 1-D array of times; for an array each quantity is an
+    array over the times.  The grid is evolved in blocks of ``_TIME_BLOCK``
+    times: per block, U1|0>, U2|0> and U1 U2|0> are each evolved once, and only
+    their vacuum amplitudes and mean excitations are kept.  ``zeta`` raises
+    what ``zeta_numeric`` raises at the first time where it would raise;
+    ``number`` and ``reliable`` raise nothing.
     """
 
     def __init__(self, ham1, ham2, t, rep):
         self.ham1, self.ham2, self.t, self.rep = ham1, ham2, t, rep
 
     @cached_property
-    def _psi2(self):
-        return self.rep._evolution(self.ham2).state(self.t)
+    def _columns(self):
+        """(a1, a2, a12, n1, n2, n12): vacuum amplitudes and excitations."""
+        ev1, ev2 = self.rep._evolution(self.ham1), self.rep._evolution(self.ham2)
+        if np.ndim(self.t) == 0:
+            blocks = [self.t]
+        else:
+            t = np.asarray(self.t, dtype=float)
+            blocks = [t[i:i + _TIME_BLOCK] for i in range(0, max(len(t), 1), _TIME_BLOCK)]
+        parts = []
+        for tb in blocks:
+            psi1, psi2 = ev1.state(tb), ev2.state(tb)
+            psi12 = _apply(ev1, tb, psi2)
+            parts.append((
+                ev1.vacuum_amplitude(tb), ev2.vacuum_amplitude(tb), psi12[..., 0],
+                *(_excitation(self.rep, psi) for psi in (psi1, psi2, psi12)),
+            ))
+        if len(parts) == 1:
+            return parts[0]
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     @cached_property
-    def _psi12(self):
-        return _apply(self.rep._evolution(self.ham1), self.t, self._psi2)
+    def failure(self):
+        """(index, error) of the first time at which ``zeta`` raises, else None.
+
+        At one time the checks run in the order of ``zeta_numeric``: the
+        modulus of <0|U1|0>, then of <0|U2|0>, then the vanishing amplitudes.
+        """
+        amps = [np.atleast_1d(a) for a in self._columns[:3]]
+        checks = [np.abs(a) > 1.0 + 1e-8 for a in amps[:2]]
+        checks += [np.abs(a) <= 1e-12 for a in amps]
+        hits = np.array(checks)
+        if not hits.any():
+            return None
+        i = int(np.argmax(hits.any(axis=0)))
+        kind = int(np.argmax(hits[:, i]))
+        if kind < 2:
+            error = NumericalDomainError(f"amplitude modulus {float(abs(amps[kind][i]))} exceeds 1")
+        else:
+            name = ("U1", "U2", "U1U2")[kind - 2]
+            error = PhaseUndefinedError(f"vacuum amplitude of {name} vanishes; phase undefined")
+        return i, error
 
     @cached_property
     def zeta(self):
-        a1 = vacuum_amplitude_gqh(self.ham1, self.t, self.rep)
-        a2 = vacuum_amplitude_gqh(self.ham2, self.t, self.rep)
-        a12 = complex(np.vdot(self.rep.vacuum, self._psi12))
-        for name, a in (("U1", a1), ("U2", a2), ("U1U2", a12)):
-            if abs(a) <= 1e-12:
-                raise PhaseUndefinedError(f"vacuum amplitude of {name} vanishes; phase undefined")
+        _require_boson(self.ham1)
+        _require_boson(self.ham2)
+        if self.failure is not None:
+            raise self.failure[1]
+        a1, a2, a12 = self._columns[:3]
         return wrap_angle(np.angle(a1) + np.angle(a2) - np.angle(a12))
 
     @cached_property
     def number(self):
-        return _excitation(self.rep, self._psi12)
+        return _scalar(self._columns[5])
 
     @cached_property
     def reliable(self):
         limit = RELIABILITY_FRACTION * self.rep.n_max
-        return (
-            mean_excitation(self.ham1, self.t, self.rep) <= limit
-            and _excitation(self.rep, self._psi2) <= limit
-            and self.number <= limit
-        )
+        return _scalar(np.all(np.array(self._columns[3:]) <= limit, axis=0))
 
 
 def truncation_reliable_pair(ham1, ham2, t, rep):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gausslift import wrap_angle
+from gausslift import fock, wrap_angle
 from gausslift.cli import main
 
 FIG2_STABLE_DOC = {
@@ -233,6 +233,17 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "input"
 
+    def test_vanishing_sweep_amplitude_exits_three(self, tmp_path, capsys):
+        # |<0|U1 U2|0>| = e^{-|z|^2/4} with |z| = 6 at t = 1: 2.3e-16
+        ham = {"h": [[0, 0], [0, 0]], "f": [6, 0]}
+        doc = {"species": "boson", "N": 1, "hamiltonians": [ham, ham],
+               "time": {"t_max": 1, "t_step": 0.5}}
+        code = run(["sweep-time", "--input", write_doc(tmp_path, doc), "--nmax", "350"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"code": "numerical-domain",
+                       "message": "vacuum amplitude of U1U2 vanishes; phase undefined"}
+
     def test_csv_rejected_for_single_results(self, tmp_path):
         assert run(
             ["verify", "--input", write_doc(tmp_path, FIG2_STABLE_DOC), "--format", "csv"]
@@ -304,6 +315,28 @@ class TestSweepTime:
                     ok = math.isclose(float(value), float(expected),
                                       rel_tol=FIG2_RTOL, abs_tol=FIG2_ATOL)
                 assert ok, f"t={row[0]} {name}: {value} vs reference {expected}"
+
+    def test_one_evolution_per_state_and_cutoff(self, tmp_path, monkeypatch):
+        # U1|0>, U2|0> and U1 U2|0> are evolved once per cutoff over the
+        # whole grid, however many rows it has
+        calls = []
+
+        def counted(func):
+            def wrapper(*args):
+                calls.append(func.__name__)
+                return func(*args)
+            return wrapper
+
+        monkeypatch.setattr(fock._Evolution, "state", counted(fock._Evolution.state))
+        monkeypatch.setattr(fock, "_apply", counted(fock._apply))
+        counts = []
+        for t_max in (0.15, 10.0):  # 4 and 201 rows
+            doc = dict(FIG2_STABLE_NO_T, time={"t_max": t_max, "t_step": 0.05})
+            calls.clear()
+            assert run(["sweep-time", "--input", write_doc(tmp_path, doc), "--nmax", "20,40,80",
+                        "--out", str(tmp_path / "sweep.csv")]) == 0
+            counts.append(len(calls))
+        assert counts == [9, 9]
 
     def test_nmax_flag_overrides(self, tmp_path, capsys):
         doc = write_doc(tmp_path, self._doc())

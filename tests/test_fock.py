@@ -19,6 +19,7 @@ from gausslift import (
 )
 from gausslift.errors import PhaseUndefinedError, SizeGuardError
 from gausslift.fock import (
+    _TIME_BLOCK,
     RELIABILITY_FRACTION,
     _apply,
     _number_expectation_from_parts,
@@ -252,6 +253,48 @@ class TestPairOracle:
             assert number_expectation_analytic(h1, h2, t, k1) == (
                 _number_expectation_from_parts(m1, m2, z1, z2, k1)
             )
+
+
+class TestPairOracleOverTimes:
+    """An array of times gives the scalar oracle's values at each time."""
+
+    @staticmethod
+    def _assert_matches_scalar(h1, h2, ts, rep):
+        batch = _PairOracle(h1, h2, ts, rep)
+        scalar = [_PairOracle(h1, h2, t, rep) for t in ts]
+        assert batch.failure is None
+        zeta_dev = wrap_angle(batch.zeta - np.array([o.zeta for o in scalar]))
+        assert np.max(np.abs(zeta_dev)) < 1e-12
+        number = np.array([o.number for o in scalar])
+        # at t = 0 both read rounding noise of a zero, around 1e-30
+        np.testing.assert_allclose(batch.number, number, rtol=1e-12, atol=1e-15)
+        assert batch.reliable.tolist() == [o.reliable for o in scalar]
+
+    @pytest.mark.parametrize("pair", [FIG2_STABLE, FIG2_UNSTABLE], ids=["stable", "unstable"])
+    @pytest.mark.parametrize("n_max", [20, 40])
+    def test_matches_scalar_over_two_blocks(self, pair, n_max):
+        ts = np.arange(_TIME_BLOCK + 45) * (10.0 / (_TIME_BLOCK + 44))
+        h1 = QuadraticHamiltonian(h=pair[0], f=FIG2_F)
+        h2 = QuadraticHamiltonian(h=pair[1], f=FIG2_F)
+        self._assert_matches_scalar(h1, h2, ts, build_fock(1, n_max))
+
+    def test_matches_scalar_krylov(self, rng):
+        rep = build_fock(2, 25)
+        hams = [random_gqh(rng, 2, h_scale=0.6) for _ in range(2)]
+        assert not rep._evolution(hams[0]).dense
+        self._assert_matches_scalar(hams[0], hams[1], np.array([0.0, 0.8, 1.9]), rep)
+
+    def test_zeta_raises_at_the_first_failing_time(self):
+        # the product amplitude e^{-|z|^2/4} is 1.2e-4 at t = 0.5 and 2.3e-16 at t = 1
+        rep = build_fock(1, 350)
+        half = QuadraticHamiltonian(h=np.zeros((2, 2)), f=np.array([6.0, 0.0]))
+        oracle = _PairOracle(half, half, np.array([0.0, 0.5, 1.0, 1.5]), rep)
+        index, error = oracle.failure
+        assert index == 2 and isinstance(error, PhaseUndefinedError)
+        with pytest.raises(PhaseUndefinedError, match="U1U2"):
+            oracle.zeta
+        assert oracle.number[2] == pytest.approx(72.0, rel=1e-9)
+        assert _PairOracle(half, half, np.array([0.0, 0.5]), rep).failure is None
 
 
 class TestTruncationDiagnostics:
