@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from conftest import FIG2_F, FIG2_STABLE, FIG2_UNSTABLE, random_gqh
 from gausslift import (
@@ -283,6 +284,24 @@ class TestPairOracleOverTimes:
         hams = [random_gqh(rng, 2, h_scale=0.6) for _ in range(2)]
         assert not rep._evolution(hams[0]).dense
         self._assert_matches_scalar(hams[0], hams[1], np.array([0.0, 0.8, 1.9]), rep)
+
+    @pytest.mark.parametrize("t", [0.8, np.array([0.0, 0.8])], ids=["scalar", "array"])
+    def test_krylov_evolves_each_state_once(self, rng, monkeypatch, t):
+        # U1|0>, U2|0> and U1 U2|0> once per time; the amplitudes of U1 and
+        # U2 are read off the evolved states, not evolved again
+        rep = build_fock(2, 25)
+        hams = [random_gqh(rng, 2, h_scale=0.6) for _ in range(2)]
+        calls = []
+        expm_multiply = scipy.sparse.linalg.expm_multiply
+
+        def counted(*args):
+            calls.append(1)
+            return expm_multiply(*args)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", counted)
+        oracle = _PairOracle(hams[0], hams[1], t, rep)
+        oracle.zeta, oracle.number, oracle.reliable
+        assert len(calls) == 3 * np.size(t)
 
     def test_zeta_raises_at_the_first_failing_time(self):
         # the product amplitude e^{-|z|^2/4} is 1.2e-4 at t = 0.5 and 2.3e-16 at t = 1
