@@ -101,6 +101,16 @@ def _parse_species(doc):
         raise InputError(f"unknown species {name!r}") from None
 
 
+def _structure(args, species=None, message=None):
+    """(document, structure) of a command's input; when ``species`` is given,
+    a document of another species is an input error with ``message``."""
+    doc = _load_document(args.input)
+    found = _parse_species(doc)
+    if species is not None and found is not species:
+        raise InputError(message)
+    return doc, standard_kahler(_parse_modes(doc), found)
+
+
 def _float_array(obj):
     return np.asarray(obj, dtype=float)
 
@@ -198,26 +208,32 @@ def _emit_json(doc, out_path):
     _write_output(json.dumps(doc, indent=2), out_path)
 
 
-def _emit_csv(header, rows, out_path):
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    _write_output("\n".join(lines) + "\n", out_path)
+def _emit_rows(args, header, rows, doc):
+    """A sweep's rows: CSV, or for ``--format json`` ``doc`` with one object
+    per row under ``rows``."""
+    if args.format == "json":
+        _emit_json(dict(doc, rows=[dict(zip(header, row)) for row in rows]), args.out)
+    else:
+        lines = [",".join(header)] + [",".join(row) for row in rows]
+        _write_output("\n".join(lines) + "\n", args.out)
 
 
 def _analytic_pair(h1, h2, t, k):
-    """Analytic zeta, reduced to (-pi, pi], and total number of U1(t) U2(t)."""
+    """Analytic zeta, reduced to (-pi, pi], and total number of U1(t) U2(t);
+    a non-finite value is a numerical-domain error."""
     m1 = mat_exp(k.omega @ h1.h * t)
     m2 = mat_exp(k.omega @ h2.h * t)
     z1 = z_from_hf(h1.h * t, h1.f_or_zero * t, k)
     z2 = z_from_hf(h2.h * t, h2.f_or_zero * t, k)
     zeta = wrap_angle(zeta_cocycle(m1, z1, m2, z2, k))
-    return zeta, _number_expectation_from_parts(m1, m2, z1, z2, k)
+    number = _number_expectation_from_parts(m1, m2, z1, z2, k)
+    if not (np.isfinite(zeta) and np.isfinite(number)):
+        raise NumericalDomainError(f"analytic zeta or N is not finite at t = {t}")
+    return zeta, number
 
 
 def _cmd_compose(args):
-    doc = _load_document(args.input)
-    species = _parse_species(doc)
-    k = standard_kahler(_parse_modes(doc), species)
+    doc, k = _structure(args)
     elements = _parse_elements(doc, k)
     if not elements:
         raise InputError("compose needs at least one element")
@@ -225,7 +241,7 @@ def _cmd_compose(args):
     for el in elements[1:]:
         product = ig_multiply(product, el)
     out = {
-        "species": species.value,
+        "species": k.species.value,
         "N": k.n_modes,
         "elements": [_element_doc(product)],
     }
@@ -236,11 +252,7 @@ def _cmd_compose(args):
 
 
 def _cmd_lift(args):
-    doc = _load_document(args.input)
-    species = _parse_species(doc)
-    if species is not Species.BOSON:
-        raise InputError("lift covers bosonic hamiltonians")
-    k = standard_kahler(_parse_modes(doc), species)
+    doc, k = _structure(args, Species.BOSON, "lift covers bosonic hamiltonians")
     elements = []
     diagnostics = []
     for ham in _parse_hamiltonians(doc, k):
@@ -255,7 +267,7 @@ def _cmd_lift(args):
             }
         )
     _emit_json(
-        {"species": species.value, "N": k.n_modes, "elements": elements,
+        {"species": k.species.value, "N": k.n_modes, "elements": elements,
          "diagnostics": diagnostics},
         args.out,
     )
@@ -263,15 +275,13 @@ def _cmd_lift(args):
 
 
 def _cmd_phase(args):
-    doc = _load_document(args.input)
-    species = _parse_species(doc)
-    k = standard_kahler(_parse_modes(doc), species)
+    doc, k = _structure(args)
     from .generator import vacuum_phase_stable, vacuum_phase_tracked
 
     results = []
     for ham in _parse_hamiltonians(doc, k):
         # the fermionic generator is h itself, as in ``fermion_vacuum_amplitude``
-        kgen = ham.h if species is Species.FERMION else k.omega @ ham.h
+        kgen = ham.h if k.species is Species.FERMION else k.omega @ ham.h
         tracked = vacuum_phase_tracked(kgen, k)
         entry = {"phase_tracked": _complex_pair(tracked)}
         try:
@@ -282,16 +292,12 @@ def _cmd_phase(args):
             entry["phase_stable"] = None
             entry["stable_rejected"] = str(exc)
         results.append(entry)
-    _emit_json({"species": species.value, "N": k.n_modes, "phases": results}, args.out)
+    _emit_json({"species": k.species.value, "N": k.n_modes, "phases": results}, args.out)
     return 0
 
 
 def _cmd_verify(args):
-    doc = _load_document(args.input)
-    species = _parse_species(doc)
-    if species is not Species.BOSON:
-        raise InputError("verify covers bosonic hamiltonians")
-    k = standard_kahler(_parse_modes(doc), species)
+    doc, k = _structure(args, Species.BOSON, "verify covers bosonic hamiltonians")
     hams = _parse_hamiltonians(doc, k, minimum=2)
     h1, h2 = hams[0], hams[1]
     t = _convert(float, doc.get("t", args.t), "t")
@@ -324,7 +330,7 @@ def _cmd_verify(args):
     verdict = all(c["pass"] for c in checks)
     _emit_json(
         {
-            "species": species.value,
+            "species": k.species.value,
             "N": k.n_modes,
             "t": t,
             "n_max": nmax,
@@ -339,11 +345,7 @@ def _cmd_verify(args):
 
 
 def _cmd_sweep_time(args):
-    doc = _load_document(args.input)
-    species = _parse_species(doc)
-    if species is not Species.BOSON:
-        raise InputError("time sweeps cover bosonic hamiltonians")
-    k = standard_kahler(_parse_modes(doc), species)
+    doc, k = _structure(args, Species.BOSON, "time sweeps cover bosonic hamiltonians")
     hams = _parse_hamiltonians(doc, k, minimum=2)
     h1, h2 = hams[0], hams[1]
     spec = _object(doc.get("time", {}), "time")
@@ -390,23 +392,14 @@ def _cmd_sweep_time(args):
         row += [_fmt(o.number[i]) for o in oracles]
         row += [str(int(o.reliable[i])) for o in oracles]
         rows.append(row)
-
-    if args.format == "json":
-        docs = [dict(zip(header, row)) for row in rows]
-        _emit_json({"species": species.value, "N": k.n_modes, "rows": docs}, args.out)
-    else:
-        _emit_csv(header, rows, args.out)
+    _emit_rows(args, header, rows, {"species": k.species.value, "N": k.n_modes})
     return 0
 
 
 def _cmd_sweep_grid(args):
-    doc = _load_document(args.input)
-    species = _parse_species(doc)
-    if species is not Species.BOSON:
-        raise InputError("grid sweeps cover bosonic hamiltonians")
-    if _parse_modes(doc) != 1:
+    doc, k = _structure(args, Species.BOSON, "grid sweeps cover bosonic hamiltonians")
+    if k.n_modes != 1:
         raise InputError("the (a, c) grid sweep is a single-mode study")
-    k = standard_kahler(1, species)
     spec = _object(doc.get("grid", {}), "grid")
     a_vals = _parse_grid_axis(spec, "a")
     c_vals = _parse_grid_axis(spec, "c")
@@ -430,24 +423,14 @@ def _cmd_sweep_grid(args):
                 rows.append([_fmt(a), _fmt(c), _fmt(np.angle(amp)), _fmt(abs(amp)), "ok"])
             except NumericalDomainError as exc:
                 rows.append([_fmt(a), _fmt(c), "nan", "nan", type(exc).__name__])
-
-    if args.format == "json":
-        docs = [dict(zip(header, row)) for row in rows]
-        _emit_json({"species": species.value, "N": 1, "rho": rho, "tau": tau, "rows": docs},
-                   args.out)
-    else:
-        _emit_csv(header, rows, args.out)
+    _emit_rows(args, header, rows, {"species": k.species.value, "N": 1, "rho": rho, "tau": tau})
     return 0
 
 
 def _cmd_fermion(args):
-    doc = _load_document(args.input)
-    species = _parse_species(doc)
-    if species is not Species.FERMION:
-        raise InputError("the fermion command expects species 'fermion'")
-    n_modes = _parse_modes(doc)
-    k = standard_kahler(n_modes, Species.FERMION)
-    out = {"species": species.value, "N": n_modes}
+    doc, k = _structure(args, Species.FERMION, "the fermion command expects species 'fermion'")
+    n_modes = k.n_modes
+    out = {"species": k.species.value, "N": n_modes}
     refl = reference_reflection(k)
     if "w" in doc:
         refl = normalize_reflection(_parse_vector(doc["w"], k.dim, "w"), k)

@@ -5,7 +5,8 @@ matrices at cutoff ``n_max``, unitaries are dense or Krylov exponentials of
 the truncated Hamiltonian, and the reference state is the vacuum vector.
 The evolution of the vacuum and the pair oracle take one time or a 1-D array
 of times; for an array, states are stacked one row per time, and a time
-sweep costs one product per state instead of one per time.  This module is
+sweep costs one product per state instead of one per time.  Every vacuum
+amplitude is read off an evolved state, as its first entry.  This module is
 the independent truth source the analytic phase formulas are verified
 against; it must not import any of them (the analytic number expectation
 below uses only group-level data).
@@ -112,8 +113,10 @@ class FockRep:
 class _Evolution:
     """Time evolution e^{-i H t} applied to the vacuum, cached per Hamiltonian.
 
-    ``t`` is a time or a 1-D array of times; an array gives one state or
-    amplitude per time, stacked along the first axis.
+    ``t`` is a time or a 1-D array of times; an array gives one state per
+    time, stacked along the first axis.  Up to ``_EIGH_LIMIT`` states the
+    Hamiltonian is diagonalized once and every time costs one product;
+    above it each time is one Krylov exponentiation.
     """
 
     def __init__(self, rep, ham):
@@ -134,11 +137,6 @@ class _Evolution:
             return _rows(self._v, self._phases(t) * self._v0)
         return _krylov(self.matrix, t, self.rep.vacuum)
 
-    def vacuum_amplitude(self, t):
-        if self.dense:
-            return np.sum(np.abs(self._v0) ** 2 * self._phases(t), axis=-1)
-        return self.state(t)[..., 0]
-
 
 def _rows(matrix, x):
     """``matrix @ x`` for a vector, or for each row of a stack of vectors."""
@@ -146,14 +144,13 @@ def _rows(matrix, x):
 
 
 def _krylov(matrix, t, vec):
-    """e^{-i H t} vec by Krylov exponentiation, one call per time of a 1-D
-    ``t``; ``vec`` is one vector or one row per time."""
-    if np.ndim(t) == 0:
-        return scipy.sparse.linalg.expm_multiply(-1j * t * matrix, vec)
-    vecs = np.broadcast_to(vec, np.shape(t) + vec.shape[-1:])
+    """e^{-i H t} vec by Krylov exponentiation, one call per time of ``t`` (a
+    time or a 1-D array); ``vec`` is one vector or one row per time."""
+    t = np.asarray(t)
+    vecs = np.broadcast_to(vec, t.shape + vec.shape[-1:])
     out = np.empty(vecs.shape, dtype=complex)
-    for i, (ti, v) in enumerate(zip(t, vecs)):
-        out[i] = scipy.sparse.linalg.expm_multiply(-1j * ti * matrix, v)
+    for i in np.ndindex(t.shape):
+        out[i] = scipy.sparse.linalg.expm_multiply(-1j * t[i] * matrix, vecs[i])
     return out
 
 
@@ -183,12 +180,27 @@ def _require_boson(ham):
         raise InputError("the Fock oracle is bosonic")
 
 
+def _amplitude_error(amps, names=()):
+    """The error of the first failing check on the vacuum amplitudes of one
+    time, or None.  The order is ``zeta_numeric``'s: a modulus above 1 for the
+    first two amplitudes (U1, then U2), then a vanishing amplitude for each
+    amplitude that ``names`` names (U1, U2, U1U2)."""
+    for amp in amps[:2]:
+        if abs(amp) > 1.0 + 1e-8:
+            return NumericalDomainError(f"amplitude modulus {float(abs(amp))} exceeds 1")
+    for name, amp in zip(names, amps):
+        if abs(amp) <= 1e-12:
+            return PhaseUndefinedError(f"vacuum amplitude of {name} vanishes; phase undefined")
+    return None
+
+
 def vacuum_amplitude_gqh(ham, t, rep):
     """<0| e^{-i H t} |0> on the truncated space."""
     _require_boson(ham)
-    amp = complex(rep._evolution(ham).vacuum_amplitude(t))
-    if abs(amp) > 1.0 + 1e-8:
-        raise NumericalDomainError(f"amplitude modulus {abs(amp)} exceeds 1")
+    amp = complex(rep._evolution(ham).state(t)[..., 0])
+    error = _amplitude_error([amp])
+    if error is not None:
+        raise error
     return amp
 
 
@@ -229,10 +241,10 @@ class _PairOracle:
 
     ``t`` is a time or a 1-D array of times; for an array each quantity is an
     array over the times.  The grid is evolved in blocks of ``_TIME_BLOCK``
-    times: per block, U1|0>, U2|0> and U1 U2|0> are each evolved once, and only
-    their vacuum amplitudes and mean excitations are kept.  ``zeta`` raises
-    what ``zeta_numeric`` raises at the first time where it would raise;
-    ``number`` and ``reliable`` raise nothing.
+    times, a single time as a block of its own: per block, U1|0>, U2|0> and
+    U1 U2|0> are each evolved once, and only their vacuum amplitudes and mean
+    excitations are kept.  ``zeta`` raises what ``zeta_numeric`` raises at the
+    first time where it would raise; ``number`` and ``reliable`` raise nothing.
     """
 
     def __init__(self, ham1, ham2, t, rep):
@@ -242,50 +254,29 @@ class _PairOracle:
     def _columns(self):
         """(a1, a2, a12, n1, n2, n12): vacuum amplitudes and excitations."""
         ev1, ev2 = self.rep._evolution(self.ham1), self.rep._evolution(self.ham2)
-        if np.ndim(self.t) == 0:
-            blocks = [self.t]
-        else:
-            t = np.asarray(self.t, dtype=float)
-            blocks = [t[i:i + _TIME_BLOCK] for i in range(0, max(len(t), 1), _TIME_BLOCK)]
-        parts = []
-        for tb in blocks:
+        t = np.asarray(self.t, dtype=float)
+        columns = [np.empty(t.shape, dtype=complex) for _ in range(3)]
+        columns += [np.empty(t.shape) for _ in range(3)]
+        for i in range(0, t.size, _TIME_BLOCK):
+            # a block keeps the shape of ``t``: a 0-d time is a 0-d block
+            tb = t.reshape(-1)[i:i + _TIME_BLOCK].reshape((-1,) * t.ndim)
             psi1, psi2 = ev1.state(tb), ev2.state(tb)
-            psi12 = _apply(ev1, tb, psi2)
-            # dense: the spectral sum of ``vacuum_amplitude``, whose bits the
-            # public functions return; Krylov: read off the evolved states
-            if ev1.dense:
-                a1, a2 = ev1.vacuum_amplitude(tb), ev2.vacuum_amplitude(tb)
-            else:
-                a1, a2 = psi1[..., 0], psi2[..., 0]
-            parts.append((
-                a1, a2, psi12[..., 0],
-                *(_excitation(self.rep, psi) for psi in (psi1, psi2, psi12)),
-            ))
-        if len(parts) == 1:
-            return parts[0]
-        return tuple(np.concatenate(column) for column in zip(*parts))
+            states = (psi1, psi2, _apply(ev1, tb, psi2))
+            values = [psi[..., 0] for psi in states]
+            values += [_excitation(self.rep, psi) for psi in states]
+            for column, value in zip(columns, values):
+                column.reshape(-1)[i:i + _TIME_BLOCK] = value
+        return columns
 
     @cached_property
     def failure(self):
-        """(index, error) of the first time at which ``zeta`` raises, else None.
-
-        At one time the checks run in the order of ``zeta_numeric``: the
-        modulus of <0|U1|0>, then of <0|U2|0>, then the vanishing amplitudes.
-        """
-        amps = [np.atleast_1d(a) for a in self._columns[:3]]
-        checks = [np.abs(a) > 1.0 + 1e-8 for a in amps[:2]]
-        checks += [np.abs(a) <= 1e-12 for a in amps]
-        hits = np.array(checks)
-        if not hits.any():
-            return None
-        i = int(np.argmax(hits.any(axis=0)))
-        kind = int(np.argmax(hits[:, i]))
-        if kind < 2:
-            error = NumericalDomainError(f"amplitude modulus {float(abs(amps[kind][i]))} exceeds 1")
-        else:
-            name = ("U1", "U2", "U1U2")[kind - 2]
-            error = PhaseUndefinedError(f"vacuum amplitude of {name} vanishes; phase undefined")
-        return i, error
+        """(index, error) of the first time at which ``zeta`` raises, else None."""
+        columns = (a.reshape(-1) for a in self._columns[:3])
+        for i, amps in enumerate(zip(*columns)):
+            error = _amplitude_error(amps, ("U1", "U2", "U1U2"))
+            if error is not None:
+                return i, error
+        return None
 
     @cached_property
     def zeta(self):

@@ -209,10 +209,12 @@ def vacuum_phase_stable(kgen, k):
         raise InvalidStructureError("adapted structure fails J~^2 = -I")
     if np.max(np.abs(jtilde @ k.omega @ jtilde.T - k.omega)) > 1e-8:
         raise InvalidStructureError("adapted structure is not symplectic-compatible")
+    # -J~ Omega = -J~ J at the standard structure; T is the root of its symmetric part
     form = -(jtilde @ k.omega)
-    if np.min(np.linalg.eigvalsh((form + form.T) / 2)) <= 0:
+    form = (form + form.T) / 2
+    if np.min(np.linalg.eigvalsh(form)) <= 0:
         raise InvalidStructureError("-J~ Omega is not positive definite after sign fixing")
-    t_map = mat_sqrt_principal(-(jtilde @ k.j))
+    t_map = mat_sqrt_principal(form)
     m = mat_exp(kgen)
     t_inv = np.linalg.inv(t_map)
     # Both cocycle corrections of the change of reference structure are needed

@@ -37,16 +37,6 @@ def _as_square(a, name):
     return a
 
 
-def _eig_on_cut(a):
-    """Return an eigenvalue of ``a`` on the closed negative real axis, or None."""
-    vals = np.linalg.eigvals(a)
-    scale = max(1.0, np.max(np.abs(vals)))
-    for lam in vals:
-        if abs(lam) < 1e-12 * scale or (lam.real < 0 and abs(lam.imag) <= 1e-12 * abs(lam)):
-            return lam
-    return None
-
-
 def mat_exp(a):
     """Matrix exponential with an explicit overflow check."""
     a = _as_square(a, "mat_exp argument")
@@ -59,26 +49,17 @@ def mat_exp(a):
 
 
 def mat_sqrt_principal(a):
-    """Principal matrix square root (symmetric fast path for symmetric input)."""
+    """Principal square root of a real symmetric positive-definite matrix."""
     a = _as_square(a, "mat_sqrt_principal argument")
-    if np.isrealobj(a) and np.max(np.abs(a - a.T)) < 1e-12 * max(1.0, np.max(np.abs(a))):
-        w, v = np.linalg.eigh(a)
-        if np.min(w) <= 0:
-            raise SpectrumOnCutError(
-                f"eigenvalue {np.min(w)} lies on the square-root branch cut",
-                eigenvalue=np.min(w),
-            )
-        return (v * np.sqrt(w)) @ v.T
-    bad = _eig_on_cut(a)
-    if bad is not None:
+    if not (np.isrealobj(a) and np.max(np.abs(a - a.T)) < 1e-12 * max(1.0, np.max(np.abs(a)))):
+        raise InvalidStructureError("mat_sqrt_principal argument must be real symmetric")
+    w, v = np.linalg.eigh(a)
+    if np.min(w) <= 0:
         raise SpectrumOnCutError(
-            f"eigenvalue {bad} lies on the square-root branch cut", eigenvalue=bad
+            f"eigenvalue {np.min(w)} lies on the square-root branch cut",
+            eigenvalue=np.min(w),
         )
-    out = scipy.linalg.sqrtm(a)
-    if np.isrealobj(a) and np.iscomplexobj(out):
-        if np.max(np.abs(out.imag)) < 1e-12 * max(1.0, np.max(np.abs(out.real))):
-            out = out.real
-    return out
+    return (v * np.sqrt(w)) @ v.T
 
 
 def phi1_entire(k):

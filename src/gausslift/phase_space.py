@@ -116,9 +116,13 @@ def split_cd(m, k):
 
 
 def z_map(m, k):
-    """Squeeze map Z_M = C^{-1} D; a numerically singular C raises."""
+    """Squeeze map Z_M = C^{-1} D; a numerically singular C, or one whose
+    singular values do not converge, raises."""
     c, d = split_cd(m, k)
-    sv = np.linalg.svd(c, compute_uv=False)
+    try:
+        sv = np.linalg.svd(c, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDomainError(f"C_M has no singular values: {exc}") from None
     if sv[-1] < 1e-9 * max(sv[0], 1.0):
         raise NumericalDomainError("C_M is singular: the Z map does not exist")
     return np.linalg.solve(c, d)

@@ -74,18 +74,12 @@ def stable_sweep():
     rep = build_fock(1, 80)
     ts = np.round(np.arange(0.0, 10.0 + 1e-9, 0.05), 10)
     start = time.monotonic()
-    zeta_dev = []
-    n_dev = []
-    for t in ts:
-        za = _zeta_analytic(FIG2_STABLE[0], FIG2_STABLE[1], t)
-        zn = zeta_numeric(ham1, ham2, t, rep)
-        zeta_dev.append(abs(wrap_angle(za - zn)))
-        n_dev.append(
-            abs(
-                number_expectation_analytic(ham1, ham2, t, K1)
-                - number_expectation(ham1, ham2, t, rep)
-            )
-        )
+    # the analytic columns first, then the oracle calls: alternating the two
+    # costs a BLAS thread-pool switch per call
+    za = [_zeta_analytic(FIG2_STABLE[0], FIG2_STABLE[1], t) for t in ts]
+    na = [number_expectation_analytic(ham1, ham2, t, K1) for t in ts]
+    zeta_dev = [abs(wrap_angle(a - zeta_numeric(ham1, ham2, t, rep))) for a, t in zip(za, ts)]
+    n_dev = [abs(a - number_expectation(ham1, ham2, t, rep)) for a, t in zip(na, ts)]
     elapsed = time.monotonic() - start
     return ts, np.array(zeta_dev), np.array(n_dev), elapsed
 
@@ -107,14 +101,11 @@ def test_criterion_02_unstable_truncation_behavior():
     onsets = {}
     flags = {}
     devs = {}
+    za = [_zeta_analytic(*FIG2_UNSTABLE, t) for t in ts]
     for nmax in (40, 80, 120):
         rep = build_fock(1, nmax)
         dev = np.array(
-            [
-                abs(wrap_angle(_zeta_analytic(*FIG2_UNSTABLE, t)
-                               - zeta_numeric(ham1, ham2, t, rep)))
-                for t in ts
-            ]
+            [abs(wrap_angle(a - zeta_numeric(ham1, ham2, t, rep))) for a, t in zip(za, ts)]
         )
         devs[nmax] = dev
         onsets[nmax] = ts[np.argmax(dev > 1e-3)] if np.any(dev > 1e-3) else np.inf

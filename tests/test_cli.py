@@ -19,6 +19,14 @@ FIG2_STABLE_DOC = {
     "t": 1.0,
 }
 FIG2_STABLE_NO_T = {key: value for key, value in FIG2_STABLE_DOC.items() if key != "t"}
+FIG2_UNSTABLE_NO_T = {
+    "species": "boson",
+    "N": 1,
+    "hamiltonians": [
+        {"h": [[0.4, -0.6], [-0.6, 0.5]], "f": [0.5, 0.5], "c": 0.0},
+        {"h": [[0.5, 0.4], [0.4, -0.4]], "f": [0.5, 0.5], "c": 0.0},
+    ],
+}
 
 #: the committed Fig. 2 sweep (t in [0, 10] by 0.05, n_max 20, 40, 80) and the
 #: tolerances the benchmark checks it with: oracle columns move in their last
@@ -244,6 +252,45 @@ class TestErrorPaths:
         assert err == {"code": "numerical-domain",
                        "message": "vacuum amplitude of U1U2 vanishes; phase undefined"}
 
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (["lift"], dict(FIG2_STABLE_DOC, species="fermion"),
+             "lift covers bosonic hamiltonians"),
+            (["verify"], dict(FIG2_STABLE_DOC, species="fermion"),
+             "verify covers bosonic hamiltonians"),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, species="fermion"),
+             "time sweeps cover bosonic hamiltonians"),
+            (["sweep-grid"], {"species": "fermion", "N": 1},
+             "grid sweeps cover bosonic hamiltonians"),
+            (["sweep-grid"], {"species": "boson", "N": 2},
+             "the (a, c) grid sweep is a single-mode study"),
+        ],
+        ids=["lift-fermion", "verify-fermion", "sweep-time-fermion", "sweep-grid-fermion",
+             "sweep-grid-two-modes"],
+    )
+    def test_unsupported_input_exits_two(self, tmp_path, capsys, argv, doc, message):
+        assert run(argv + ["--input", write_doc(tmp_path, doc)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"code": "input", "message": message}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "time, t_first",
+        [({"t_max": 400, "t_step": 40}, 360.0), ({"t_max": 2000, "t_step": 50}, 400.0)],
+        ids=["t-max-400", "t-max-2000"],
+    )
+    def test_unstable_sweep_exits_three(self, tmp_path, capsys, time, t_first):
+        # the unstable pair overflows: zeta and N are nan from t = 360, and the
+        # SVD of C_M stops converging at t = 710; the first such row raises
+        doc = dict(FIG2_UNSTABLE_NO_T, time=time)
+        assert run(["sweep-time", "--input", write_doc(tmp_path, doc), "--nmax", "40"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err == {"code": "numerical-domain",
+                       "message": f"analytic zeta or N is not finite at t = {t_first}"}
+
     def test_csv_rejected_for_single_results(self, tmp_path):
         assert run(
             ["verify", "--input", write_doc(tmp_path, FIG2_STABLE_DOC), "--format", "csv"]
@@ -337,6 +384,15 @@ class TestSweepTime:
                         "--out", str(tmp_path / "sweep.csv")]) == 0
             counts.append(len(calls))
         assert counts == [9, 9]
+
+    def test_json_rows_match_csv(self, tmp_path, capsys):
+        doc = write_doc(tmp_path, self._doc())
+        assert run(["sweep-time", "--input", doc]) == 0
+        header, *rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+        assert run(["sweep-time", "--input", doc, "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out == {"species": "boson", "N": 1,
+                       "rows": [dict(zip(header, row)) for row in rows]}
 
     def test_nmax_flag_overrides(self, tmp_path, capsys):
         doc = write_doc(tmp_path, self._doc())

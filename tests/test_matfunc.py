@@ -74,6 +74,11 @@ class TestLogSqrt:
         with pytest.raises(SpectrumOnCutError):
             mat_sqrt_principal(np.diag([-4.0, 1.0]))
 
+    def test_sqrt_rejects_non_symmetric(self):
+        # positive spectrum, but only symmetric positive-definite input has a root here
+        with pytest.raises(InvalidStructureError, match="symmetric"):
+            mat_sqrt_principal(np.array([[4.0, 1.0], [0.0, 1.0]]))
+
 
 class TestPhi1:
     def test_zero(self):

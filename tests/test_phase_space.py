@@ -186,6 +186,12 @@ class TestDeltaYZ:
         with pytest.raises(NumericalDomainError):
             cocycle_eta(m, m, kf2)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_non_finite_c_raises(self, k1):
+        # an overflowed evolution: the SVD of C does not converge
+        with pytest.raises(NumericalDomainError, match="SVD did not converge"):
+            delta_y_z(np.array([[np.inf, 0.0], [0.0, 1.0]]), k1)
+
     def test_cartan_factors_share_delta(self, rng, k2):
         m = random_group_element(k2, rng)
         t, u = cartan(m, k2)
