@@ -30,7 +30,6 @@ from .phase_space import (
 )
 from .metaplectic import (
     LiftedSymplectic,
-    cartan,
     circle_function,
     cocycle_eta,
     mp_lift,

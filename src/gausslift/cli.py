@@ -220,13 +220,15 @@ def _emit_rows(args, header, rows, doc):
 
 def _analytic_pair(h1, h2, t, k):
     """Analytic zeta, reduced to (-pi, pi], and total number of U1(t) U2(t);
-    a non-finite value is a numerical-domain error."""
-    m1 = mat_exp(k.omega @ h1.h * t)
-    m2 = mat_exp(k.omega @ h2.h * t)
-    z1 = z_from_hf(h1.h * t, h1.f_or_zero * t, k)
-    z2 = z_from_hf(h2.h * t, h2.f_or_zero * t, k)
-    zeta = wrap_angle(zeta_cocycle(m1, z1, m2, z2, k))
-    number = _number_expectation_from_parts(m1, m2, z1, z2, k)
+    a non-finite value is a numerical-domain error.  Overflow on the way to it
+    is silenced, so that the error stays the only output on stderr."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m1 = mat_exp(k.omega @ h1.h * t)
+        m2 = mat_exp(k.omega @ h2.h * t)
+        z1 = z_from_hf(h1.h * t, h1.f_or_zero * t, k)
+        z2 = z_from_hf(h2.h * t, h2.f_or_zero * t, k)
+        zeta = wrap_angle(zeta_cocycle(m1, z1, m2, z2, k))
+        number = _number_expectation_from_parts(m1, m2, z1, z2, k)
     if not (np.isfinite(zeta) and np.isfinite(number)):
         raise NumericalDomainError(f"analytic zeta or N is not finite at t = {t}")
     return zeta, number

@@ -14,6 +14,7 @@ import scipy.linalg
 
 from .errors import InputError, InvalidStructureError, NumericalDomainError
 from .generator import vacuum_phase_tracked
+from .matfunc import mat_exp
 from .phase_space import Species, validate_group_element
 
 #: tolerance on the w G w = 2 normalization of a reflection vector
@@ -98,7 +99,7 @@ def so_generator(m):
         k[b, a] = -np.pi
     gen = q @ k @ q.T
     gen = (gen - gen.T) / 2.0
-    if np.max(np.abs(scipy.linalg.expm(gen) - m)) > SO_GENERATOR_TOL:
+    if np.max(np.abs(mat_exp(gen) - m)) > SO_GENERATOR_TOL:
         raise NumericalDomainError("special-orthogonal logarithm failed to reproduce M")
     return gen
 
@@ -205,5 +206,5 @@ def fermion_vacuum_amplitude(h, rep=None):
     n_modes = h.shape[0] // 2
     if rep is None:
         rep = build_majorana(n_modes)
-    op = scipy.linalg.expm(rep.quadratic_operator(h))
+    op = mat_exp(rep.quadratic_operator(h))
     return complex(np.vdot(rep.vacuum, op @ rep.vacuum))

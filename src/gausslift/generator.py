@@ -26,8 +26,8 @@ from .errors import (
 )
 from .matfunc import complex_det, imag_trace_log, mat_exp, mat_sqrt_principal, phi1_entire
 from .metaplectic import LiftedSymplectic, cocycle_eta, mp_multiply
-from .inhomogeneous import _gamma_from_y, ig_from_parts
-from .phase_space import Species, split_cd, y_map
+from .inhomogeneous import _gamma, ig_from_parts
+from .phase_space import Species, delta_y_z, split_cd
 
 #: spectral radius below which beta is evaluated (by its odd power series,
 #: whose poles sit at 2 pi i k) and beyond which it raises
@@ -129,7 +129,7 @@ def z_from_hf(h, f, k):
 def sigma_map(kgen, k):
     """Closed form Y_{e^K} + 4 beta(K) of the lift's phase kernel; spectral radius < 4."""
     kgen = np.asarray(kgen, dtype=float)
-    return y_map(mat_exp(kgen), k) + 4.0 * _beta_function(kgen)
+    return delta_y_z(mat_exp(kgen), k).y + 4.0 * _beta_function(kgen)
 
 
 def _scaled_lift(kgen, k):
@@ -264,8 +264,8 @@ def gqh_overlap_analytic(ham, k):
     theta, z, lifted = _lift_parts(ham, k)
     gamma = zq = 0.0
     if np.any(z):
-        y = y_map(lifted.m, k)
-        gamma = _gamma_from_y(y, z, k)
+        y = delta_y_z(lifted.m, k).y
+        gamma = _gamma(y, z, k)
         zq = 0.5 * z @ k.metric_inv @ (z + y @ z)
     c_part, _ = split_cd(lifted.m, k)
     modulus = np.sqrt(np.exp(-zq) / abs(complex_det(c_part)))

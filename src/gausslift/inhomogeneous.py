@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
-from .metaplectic import cocycle_eta, mp_lift
+from .metaplectic import _eta_from_maps, mp_lift
 from .phase_space import (
     KahlerStructure,
     Species,
+    delta_y_z,
     group_inverse,
     require_same_reference,
     validate_group_element,
-    y_map,
 )
 
 
@@ -96,15 +96,14 @@ def displacement_to_gaussian(d, k):
 
 
 def gamma_phase(m, z, k):
-    """Displaced-squeezing phase omega(z, Y_M z) / 4, with Y_M = ``y_map``."""
+    """Displaced-squeezing phase omega(z, Y_M z) / 4, with Y_M from ``delta_y_z``;
+    a zero z forms no map."""
     z = np.asarray(z, dtype=float)
-    if not np.any(z):
-        return 0.0
-    return _gamma_from_y(y_map(m, k), z, k)
+    return _gamma(delta_y_z(m, k).y, z, k) if np.any(z) else 0.0
 
 
-def _gamma_from_y(y, z, k):
-    return 0.25 * k.omega_bilinear(z, y @ z)
+def _gamma(y, z, k):
+    return 0.25 * k.omega_bilinear(z, y @ z) if np.any(z) else 0.0
 
 
 def zeta_cocycle(m1, z1, m2, z2, k):
@@ -113,18 +112,23 @@ def zeta_cocycle(m1, z1, m2, z2, k):
     eta(M1, M2)/2 + gamma(M1, z1) + gamma(M2, z2)
     - gamma(M1 M2, z1 + M1 z2) - omega(z1, M1 z2)/2,
 
-    with eta = ``cocycle_eta`` (for fermions its Pfaffian root).  Unreduced;
-    wrap only in comparisons.
+    with eta as in ``cocycle_eta`` (for fermions its Pfaffian root).  One
+    ``delta_y_z`` call per distinct matrix: M1 (Z and Y), M2 (Y, for eta and
+    gamma) unless ``m2 is m1``, and M1 M2 if z1 + M1 z2 is nonzero.
+    Unreduced; wrap only in comparisons.
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
-    eta = cocycle_eta(m1, m2, k)
+    maps1 = delta_y_z(m1, k)
+    y2 = maps1.y if m2 is m1 else delta_y_z(m2, k).y
     m1z2 = m1 @ z2
-    zeta = 0.5 * eta
-    zeta += gamma_phase(m1, z1, k) + gamma_phase(m2, z2, k)
-    zeta -= gamma_phase(m1 @ m2, z1 + m1z2, k)
+    z12 = z1 + m1z2
+    zeta = 0.5 * _eta_from_maps(maps1.z, y2, k)
+    zeta += _gamma(maps1.y, z1, k) + _gamma(y2, z2, k)
+    if np.any(z12):
+        zeta -= _gamma(delta_y_z(m1 @ m2, k).y, z12, k)
     zeta -= 0.5 * k.omega_bilinear(z1, m1z2)
     return float(zeta)
 

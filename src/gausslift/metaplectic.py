@@ -1,4 +1,4 @@
-"""Homogeneous double cover: circle function, cocycle, Cartan split, lifts.
+"""Homogeneous double cover: circle function, cocycle, lifts and their product.
 
 Convention, fixed once by the oracle-calibration suite: the circle function is
 ``phi(M) = complex_det(C_M) / |complex_det(C_M)|`` exactly as written, a lift
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, UnitarilyOrthogonalError
-from .matfunc import complex_det, imag_trace_log, mat_sqrt_principal, pfaffian
+from .matfunc import complex_det, imag_trace_log, pfaffian
 from .phase_space import (
     KahlerStructure,
     Species,
@@ -21,8 +21,6 @@ from .phase_space import (
     require_same_reference,
     split_cd,
     validate_group_element,
-    y_map,
-    z_map,
 )
 
 #: tolerance for the psi^2 = phi(M) membership check of a lifted element
@@ -76,16 +74,21 @@ def cocycle_eta(m1, m2, k):
     I - Z1 Z2 can sit on the negative axis, where principal angles cannot
     tell eta from eta + 2pi.  They come in degenerate pairs, and
     e^{i eta/2} is the phase of the Pfaffian square root of the determinant,
-    so eta is returned in (-2pi, 2pi] from that root.  Only Z_{M1} and
-    Y_{M2} = Z_{M2^{-1}} are formed; a singular C of M1 or M2 raises
-    ``NumericalDomainError``.  The same eta serves both species in
-    ``mp_multiply`` and ``zeta_cocycle``.
+    so eta is returned in (-2pi, 2pi] from that root.  Z_{M1} and
+    Y_{M2} = Z_{M2^{-1}} come from ``delta_y_z``, once for a square
+    (``m2 is m1``); a singular C of M1 or M2 raises ``NumericalDomainError``.
+    The same eta serves both species in ``mp_multiply`` and ``zeta_cocycle``.
     """
-    z1 = z_map(m1, k)
-    z2 = y_map(m2, k)
+    maps1 = delta_y_z(m1, k)
+    y2 = maps1.y if m2 is m1 else delta_y_z(m2, k).y
+    return _eta_from_maps(maps1.z, y2, k)
+
+
+def _eta_from_maps(z1, y2, k):
+    """eta from Z_{M1} and Y_{M2}; see ``cocycle_eta``."""
     if k.species is Species.BOSON:
-        return imag_trace_log(np.eye(k.dim) - z1 @ z2)
-    return 2.0 * float(np.angle(_fermion_cocycle_root(z1, z2, k.n_modes)))
+        return imag_trace_log(np.eye(k.dim) - z1 @ y2)
+    return 2.0 * float(np.angle(_fermion_cocycle_root(z1, y2, k.n_modes)))
 
 
 def _fermion_cocycle_root(z1, z2, n):
@@ -106,15 +109,6 @@ def _fermion_cocycle_root(z1, z2, n):
         )
     sign = -1.0 if (n * (n - 1) // 2) % 2 else 1.0
     return sign * pfaffian(np.block([[a1, eye], [-eye, -a2]]))
-
-
-def cartan(m, k):
-    """Polar-type split M = T u with T = sqrt(delta_M) and u passive."""
-    m = np.asarray(m, dtype=float)
-    delta = delta_y_z(m, k).delta
-    t = mat_sqrt_principal(delta)
-    u = np.linalg.solve(t, m)
-    return t, u
 
 
 def mp_lift(m, k, branch=+1):

@@ -1,7 +1,7 @@
 """Kähler structures and the J-relative decompositions of group elements.
 
 All matrices are stored in the real quadrature basis (q_1..q_N, p_1..p_N).
-The squeeze maps are formed only here: Z_M by ``z_map``, Y_M by ``y_map``.
+The squeeze maps Z_M and Y_M are formed only here, both by ``delta_y_z``.
 """
 
 import enum
@@ -11,6 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalDomainError
+from .matfunc import mat_exp
 
 
 class Species(enum.Enum):
@@ -115,25 +116,6 @@ def split_cd(m, k):
     return (m - jmj) / 2.0, (m + jmj) / 2.0
 
 
-def z_map(m, k):
-    """Squeeze map Z_M = C^{-1} D; a numerically singular C, or one whose
-    singular values do not converge, raises."""
-    c, d = split_cd(m, k)
-    try:
-        sv = np.linalg.svd(c, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalDomainError(f"C_M has no singular values: {exc}") from None
-    if sv[-1] < 1e-9 * max(sv[0], 1.0):
-        raise NumericalDomainError("C_M is singular: the Z map does not exist")
-    return np.linalg.solve(c, d)
-
-
-def y_map(m, k):
-    """Y_M = Z_{M^{-1}} through the group inverse; it exists wherever Z_M does, since
-    |det C| >= 1 for bosons and C_{M^T} = C_M^T for fermions."""
-    return z_map(group_inverse(m, k), k)
-
-
 class DeltaYZ(NamedTuple):
     delta: np.ndarray
     y: np.ndarray
@@ -141,22 +123,33 @@ class DeltaYZ(NamedTuple):
 
 
 def delta_y_z(m, k):
-    """Squeeze-sector maps of a group element.
+    """Squeeze-sector maps of a group element from one C/D split.
 
-    delta = -M J M^{-1} J (equals M M^T for bosons at the standard structure),
-    y = (I - delta)(I + delta)^{-1} = ``y_map`` (I + delta_M = 2 M C_{M^{-1}})
-    and z = ``z_map``; a singular C raises ``NumericalDomainError``.
+    z = Z_M = C^{-1} D; y = Y_M = Z_{M^{-1}} solves C^T y = -+D^T, since
+    C_{M^{-1}} = C^T and D_{M^{-1}} = -D^T (bosons) or +D^T (fermions) at the
+    standard structure; delta = -M J M^{-1} J = 2 M C^T - I.  One test covers
+    both maps, as C^T has the singular values of C: a numerically singular C,
+    or one whose SVD does not converge, raises ``NumericalDomainError``.
     """
     m = np.asarray(m, dtype=float)
-    delta = -m @ k.j @ group_inverse(m, k) @ k.j
-    return DeltaYZ(delta=delta, y=y_map(m, k), z=z_map(m, k))
+    c, d = split_cd(m, k)
+    try:
+        sv = np.linalg.svd(c, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalDomainError(f"C_M has no singular values: {exc}") from None
+    if sv[-1] < 1e-9 * max(sv[0], 1.0):
+        raise NumericalDomainError("C_M is singular: the Z map does not exist")
+    d_inv = -d.T if k.species is Species.BOSON else d.T
+    return DeltaYZ(
+        delta=2.0 * m @ c.T - np.eye(k.dim),
+        y=np.linalg.solve(c.T, d_inv),
+        z=np.linalg.solve(c, d),
+    )
 
 
 def random_group_element(k, rng, scale=1.0):
     """Connected-component sample e^K with K = Omega h (bosons, h symmetric,
     ||h|| <= scale) or K antisymmetric (fermions)."""
-    import scipy.linalg
-
     n2 = k.dim
     a = rng.standard_normal((n2, n2))
     if k.species is Species.BOSON:
@@ -166,4 +159,4 @@ def random_group_element(k, rng, scale=1.0):
     else:
         gen = (a - a.T) / 2.0
         gen *= scale * rng.uniform(0.1, 1.0) / max(np.linalg.norm(gen, 2), 1e-12)
-    return scipy.linalg.expm(gen)
+    return mat_exp(gen)

@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -274,7 +277,6 @@ class TestErrorPaths:
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"code": "input", "message": message}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "time, t_first",
         [({"t_max": 400, "t_step": 40}, 360.0), ({"t_max": 2000, "t_step": 50}, 400.0)],
@@ -290,6 +292,24 @@ class TestErrorPaths:
         err = json.loads(captured.err)["error"]
         assert err == {"code": "numerical-domain",
                        "message": f"analytic zeta or N is not finite at t = {t_first}"}
+
+    def test_unstable_sweep_stderr_is_one_json_document(self, tmp_path):
+        # a fresh process that turns every RuntimeWarning into an error: the
+        # overflow before the refusal must not reach stderr or stop the run
+        doc = dict(FIG2_UNSTABLE_NO_T, time={"t_max": 400, "t_step": 40})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "gausslift.cli",
+             "sweep-time", "--input", write_doc(tmp_path, doc), "--nmax", "40"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        err, end = json.JSONDecoder().raw_decode(proc.stderr)
+        assert proc.stderr[end:].strip() == ""
+        assert err["error"]["message"] == "analytic zeta or N is not finite at t = 360.0"
 
     def test_csv_rejected_for_single_results(self, tmp_path):
         assert run(

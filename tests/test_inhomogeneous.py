@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_symmetric
+from gausslift import inhomogeneous, metaplectic, phase_space
 from gausslift import (
     Displacement,
     LiftedGaussian,
@@ -127,6 +128,30 @@ class TestZetaCocycle:
         z2 = z_from_hf(h2.h * t, h2.f * t, k1)
         analytic = wrap_angle(zeta_cocycle(m1, z1, m2, z2, k1))
         assert analytic == pytest.approx(zeta_numeric(h1, h2, t, rep), abs=1e-6)
+
+
+class TestSqueezeMapReuse:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+
+        def counting(m, k):
+            calls.append(m)
+            return phase_space.delta_y_z(m, k)
+
+        for module in (metaplectic, inhomogeneous):
+            monkeypatch.setattr(module, "delta_y_z", counting)
+        return calls
+
+    def test_product_forms_each_distinct_matrix_once(self, rng, k2, counted):
+        # M1 (Z and Y), M2 (Y for eta and gamma) and M1 M2 (Y)
+        ig_multiply(random_lifted(rng, k2), random_lifted(rng, k2))
+        assert len(counted) == 3
+
+    def test_square_forms_its_maps_once(self, rng, k2, counted):
+        a = mp_lift(random_group_element(k2, rng), k2)
+        mp_multiply(a, a)
+        assert len(counted) == 1
 
 
 class TestIgMultiply:

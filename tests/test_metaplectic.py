@@ -3,14 +3,13 @@ import pytest
 
 from gausslift import (
     LiftedSymplectic,
-    cartan,
     circle_function,
     cocycle_eta,
     mat_exp,
+    mat_sqrt_principal,
     mp_lift,
     mp_multiply,
     random_group_element,
-    validate_group_element,
     wrap_angle,
 )
 from gausslift.errors import InputError, UnitarilyOrthogonalError
@@ -24,7 +23,7 @@ class TestCircleFunction:
         # phi(T) = 1 for T = sqrt(M M^T), verified numerically
         for _ in range(10):
             m = random_group_element(k2, rng)
-            t, _ = cartan(m, k2)
+            t = mat_sqrt_principal(m @ m.T)
             assert circle_function(t, k2) == pytest.approx(1.0, abs=1e-9)
 
     def test_quarter_rotation_single_mode(self, k1):
@@ -59,39 +58,6 @@ class TestCocycleEta:
                 circle_function(m1, k2) * circle_function(m2, k2)
             )
             assert wrap_angle(eta - np.angle(ratio)) == pytest.approx(0.0, abs=1e-9)
-
-
-class TestCartan:
-    def test_identity(self, k1):
-        t, u = cartan(np.eye(2), k1)
-        np.testing.assert_allclose(t, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(u, np.eye(2), atol=1e-14)
-
-    def test_passive_element_untouched(self, k1):
-        rot = mat_exp(0.8 * np.asarray(k1.j))
-        t, u = cartan(rot, k1)
-        np.testing.assert_allclose(t, np.eye(2), atol=1e-12)
-        np.testing.assert_allclose(u, rot, atol=1e-12)
-
-    def test_pure_squeeze(self, k1):
-        m = np.diag([2.0, 0.5])
-        t, u = cartan(m, k1)
-        np.testing.assert_allclose(t, m, atol=1e-12)
-        np.testing.assert_allclose(u, np.eye(2), atol=1e-12)
-
-    def test_factor_properties(self, rng, k2):
-        j = np.asarray(k2.j)
-        for _ in range(10):
-            m = random_group_element(k2, rng)
-            t, u = cartan(m, k2)
-            np.testing.assert_allclose(t @ u, m, atol=1e-10)
-            np.testing.assert_allclose(j @ t, np.linalg.inv(t) @ j, atol=1e-9)
-            np.testing.assert_allclose(j @ u, u @ j, atol=1e-9)
-            np.testing.assert_allclose(u @ u.T, np.eye(4), atol=1e-9)
-            ok, residual = validate_group_element(u, k2)
-            assert ok and residual <= 1e-9
-            np.testing.assert_allclose(t, t.T, atol=1e-10)
-            assert np.min(np.linalg.eigvalsh((t + t.T) / 2)) > 0
 
 
 class TestMpLift:
