@@ -103,7 +103,7 @@ def gamma_phase(m, z, k):
 
 
 def _gamma(y, z, k):
-    return 0.25 * k.omega_bilinear(z, y @ z) if np.any(z) else 0.0
+    return 0.25 * k.omega_bilinear(z, y @ z)
 
 
 def zeta_cocycle(m1, z1, m2, z2, k):
@@ -113,8 +113,8 @@ def zeta_cocycle(m1, z1, m2, z2, k):
     - gamma(M1 M2, z1 + M1 z2) - omega(z1, M1 z2)/2,
 
     with eta as in ``cocycle_eta`` (for fermions its Pfaffian root).  One
-    ``delta_y_z`` call per distinct matrix: M1 (Z and Y), M2 (Y, for eta and
-    gamma) unless ``m2 is m1``, and M1 M2 if z1 + M1 z2 is nonzero.
+    ``delta_y_z`` call per matrix: M1 (Z and Y), M2 (Y, for eta and gamma),
+    and M1 M2 if z1 + M1 z2 is nonzero.
     Unreduced; wrap only in comparisons.
     """
     m1 = np.asarray(m1, dtype=float)
@@ -122,7 +122,7 @@ def zeta_cocycle(m1, z1, m2, z2, k):
     z1 = np.asarray(z1, dtype=float)
     z2 = np.asarray(z2, dtype=float)
     maps1 = delta_y_z(m1, k)
-    y2 = maps1.y if m2 is m1 else delta_y_z(m2, k).y
+    y2 = delta_y_z(m2, k).y
     m1z2 = m1 @ z2
     z12 = z1 + m1z2
     zeta = 0.5 * _eta_from_maps(maps1.z, y2, k)
