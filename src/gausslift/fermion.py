@@ -10,7 +10,6 @@ the measured vacuum phase of e^{K-hat} squares to complex_det(C_{e^K})).
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, InvalidStructureError, NumericalDomainError
 from .generator import vacuum_phase_tracked
@@ -70,8 +69,12 @@ def so_generator(m):
     """Antisymmetric K with e^K = M for special-orthogonal M.
 
     Real Schur reduction: rotation blocks give their angle generators, and the
-    (even number of) -1 eigenvalues are paired into half-turn planes.
+    (even number of) -1 eigenvalues are paired into half-turn planes.  The
+    real Schur form is scipy's (numpy has none), imported here so that the
+    bosonic path never loads scipy.
     """
+    import scipy.linalg
+
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
     if np.max(np.abs(m @ m.T - np.eye(n))) > 1e-8:

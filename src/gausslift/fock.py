@@ -3,6 +3,11 @@
 Everything here is brute force on purpose: quadratures are ladder-operator
 matrices at cutoff ``n_max``, unitaries are dense or Krylov exponentials of
 the truncated Hamiltonian, and the reference state is the vacuum vector.
+Up to ``_EIGH_LIMIT`` states, operators are numpy arrays and an evolution is
+one ``eigh``, so this branch (which every Fig. 2 sweep takes) runs in numpy
+alone and uses one OpenBLAS pool; above it, operators are scipy sparse
+matrices and each time is one Krylov ``expm_multiply``, and only that branch
+imports scipy.
 The evolution of the vacuum and the pair oracle take one time or a 1-D array
 of times; for an array, states are stacked one row per time, and a time
 sweep costs one product per state instead of one per time.  Every vacuum
@@ -12,11 +17,9 @@ against; it must not import any of them (the analytic number expectation
 below uses only group-level data).
 """
 
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import InputError, NumericalDomainError, PhaseUndefinedError, SizeGuardError
 from .matfunc import wrap_angle
@@ -25,8 +28,10 @@ from .phase_space import Species
 #: hard guard on the truncated dimension (n_max + 1)^N
 DENSE_GUARD = 4096
 
-#: below this dimension evolutions are cached eigendecompositions (cheap to
-#: reuse across a time sweep); above it, Krylov exponentiation per call
+#: up to this dimension operators are dense numpy arrays and evolutions are
+#: cached eigendecompositions (cheap to reuse across a time sweep); above it,
+#: operators are scipy sparse matrices and each time is one Krylov
+#: exponentiation
 _EIGH_LIMIT = 600
 
 #: mean excitation above this fraction of n_max marks results unreliable
@@ -37,17 +42,14 @@ RELIABILITY_FRACTION = 0.5
 _TIME_BLOCK = 256
 
 
-def _mode_ladder(n_max):
-    data = np.sqrt(np.arange(1, n_max + 1))
-    return scipy.sparse.diags(data, offsets=1, format="csr")
-
-
 class FockRep:
     """Truncated representation of N bosonic modes at cutoff ``n_max``.
 
     Quadratures are ordered (q_1..q_N, p_1..p_N) to match the real phase-space
-    basis.  Construction is single-shot; evaluations on a built instance are
-    read-only.
+    basis.  Operators are dense numpy arrays up to ``_EIGH_LIMIT`` states and
+    scipy sparse matrices above it (``dense`` says which); both support the
+    ``@`` and ``+`` used here.  Construction is single-shot; evaluations on a
+    built instance are read-only.
     """
 
     def __init__(self, n_modes, n_max):
@@ -61,44 +63,51 @@ class FockRep:
         self.n_modes = n_modes
         self.n_max = n_max
         self.dim = dim
-        a = _mode_ladder(n_max)
+        self.dense = dim <= _EIGH_LIMIT
+        ladder = np.sqrt(np.arange(1, n_max + 1, dtype=complex))
+        if self.dense:
+            a, self._one, self._kron = np.diag(ladder, 1), np.eye(n_max + 1), np.kron
+        else:
+            import scipy.sparse
+
+            a = scipy.sparse.diags(ladder, offsets=1, format="csr")
+            self._one = scipy.sparse.identity(n_max + 1, format="csr")
+            self._kron = partial(scipy.sparse.kron, format="csr")
         q1 = (a.conj().T + a) / np.sqrt(2.0)
         p1 = 1j * (a.conj().T - a) / np.sqrt(2.0)
         n1 = a.conj().T @ a
-        self._q = [self._embed(q1, m) for m in range(n_modes)]
-        self._p = [self._embed(p1, m) for m in range(n_modes)]
-        self._sparse_quadratures = self._q + self._p
-        self.number_op = sum(self._embed(n1, m) for m in range(n_modes))
+        #: (mode, single-mode operator) of each quadrature
+        self._factors = [(m, q1) for m in range(n_modes)] + [(m, p1) for m in range(n_modes)]
+        self._xi = [self._embed({m: op}) for m, op in self._factors]
+        self.number_op = sum(self._embed({m: n1}) for m in range(n_modes))
         self.vacuum = np.zeros(dim, dtype=complex)
         self.vacuum[0] = 1.0
         self._evolutions = {}
 
-    def _embed(self, op, mode):
-        mats = [scipy.sparse.identity(self.n_max + 1, format="csr", dtype=complex)] * self.n_modes
-        mats[mode] = op.astype(complex)
-        out = mats[0]
-        for m in mats[1:]:
-            out = scipy.sparse.kron(out, m, format="csr")
-        return out
+    def _embed(self, ops):
+        """The tensor product of ``ops`` ({mode: single-mode operator}) and the
+        identity on every other mode, in this rep's storage."""
+        return reduce(self._kron, [ops.get(m, self._one) for m in range(self.n_modes)])
 
     @cached_property
     def quadratures(self):
         """Dense complex quadrature matrices (materialized on first access)."""
-        return [m.toarray() for m in self._sparse_quadratures]
+        return self._xi if self.dense else [m.toarray() for m in self._xi]
 
     def hamiltonian_matrix(self, ham):
-        """Sparse matrix of (1/2) h_ab xi^a xi^b + f_a xi^a + c."""
+        """Matrix of (1/2) h_ab xi^a xi^b + f_a xi^a + c, in this rep's storage.
+
+        Each xi^a xi^b is multiplied out on its one or two modes and then
+        embedded, so no product of two full-size matrices is formed."""
         h, f, c = _ham_parts(ham, self.n_modes)
-        xi = self._sparse_quadratures
-        out = scipy.sparse.csr_matrix((self.dim, self.dim), dtype=complex)
-        for i in range(2 * self.n_modes):
-            for j in range(2 * self.n_modes):
+        out = c * self._embed({})
+        for i, (mi, oi) in enumerate(self._factors):
+            for j, (mj, oj) in enumerate(self._factors):
                 if h[i, j] != 0.0:
-                    out = out + (0.5 * h[i, j]) * (xi[i] @ xi[j])
+                    ops = {mi: oi @ oj} if mi == mj else {mi: oi, mj: oj}
+                    out = out + (0.5 * h[i, j]) * self._embed(ops)
             if f[i] != 0.0:
-                out = out + f[i] * xi[i]
-        if c != 0.0:
-            out = out + c * scipy.sparse.identity(self.dim, format="csr", dtype=complex)
+                out = out + f[i] * self._xi[i]
         return out
 
     def _evolution(self, ham):
@@ -114,17 +123,17 @@ class _Evolution:
     """Time evolution e^{-i H t} applied to the vacuum, cached per Hamiltonian.
 
     ``t`` is a time or a 1-D array of times; an array gives one state per
-    time, stacked along the first axis.  Up to ``_EIGH_LIMIT`` states the
-    Hamiltonian is diagonalized once and every time costs one product;
-    above it each time is one Krylov exponentiation.
+    time, stacked along the first axis.  On a dense rep the Hamiltonian is
+    diagonalized once and every time costs one product; on a sparse one each
+    time is one Krylov exponentiation.
     """
 
     def __init__(self, rep, ham):
         self.rep = rep
         self.matrix = rep.hamiltonian_matrix(ham)
-        self.dense = rep.dim <= _EIGH_LIMIT
+        self.dense = rep.dense
         if self.dense:
-            w, v = np.linalg.eigh(self.matrix.toarray())
+            w, v = np.linalg.eigh(self.matrix)
             self._w = w
             self._v = v
             self._v0 = v.conj().T @ rep.vacuum
@@ -146,6 +155,8 @@ def _rows(matrix, x):
 def _krylov(matrix, t, vec):
     """e^{-i H t} vec by Krylov exponentiation, one call per time of ``t`` (a
     time or a 1-D array); ``vec`` is one vector or one row per time."""
+    import scipy.sparse.linalg
+
     t = np.asarray(t)
     vecs = np.broadcast_to(vec, t.shape + vec.shape[-1:])
     out = np.empty(vecs.shape, dtype=complex)

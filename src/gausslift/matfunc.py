@@ -12,7 +12,6 @@ argument: the library fixes the Kähler structure to the standard one (see
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     CommutationError,
@@ -37,13 +36,71 @@ def _as_square(a, name):
     return a
 
 
+#: largest 1-norm served to double precision by the diagonal Padé
+#: approximant of degree 3, 5, 7, 9 and 13 (Higham 2005)
+_THETA = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+          2.097847961257068e0, 5.371920351148152e0)
+
+#: coefficients b_0..b_13 of the degree-13 approximant
+_B13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+        33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+
+
 def mat_exp(a):
-    """Matrix exponential with an explicit overflow check."""
+    """Matrix exponential with an explicit overflow check.
+
+    Scaling and squaring with the diagonal Padé approximant
+    r(A) = (V - U)^{-1} (V + U), U odd and V even in A, of degree 3, 5, 7, 9
+    or 13 (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179): the lowest
+    degree whose bound covers the 1-norm of A, else degree 13 on A / 2^s,
+    squared s times.
+    """
     a = _as_square(a, "mat_exp argument")
-    out = scipy.linalg.expm(a)
-    if not np.all(np.isfinite(out)):
+    x = np.asarray(a, dtype=np.result_type(a.dtype, float))
+    eye = np.eye(x.shape[0], dtype=x.dtype)
+    norm = np.linalg.norm(x, 1)
+    s = 0
+    if norm > _THETA[4]:
+        s = int(np.ceil(np.log2(norm / _THETA[4])))
+        x = x / 2.0**s
+    x2 = x @ x
+    if norm <= _THETA[0]:
+        u = x @ (x2 + 60.0 * eye)
+        v = 12.0 * x2 + 120.0 * eye
+    elif norm <= _THETA[1]:
+        x4 = x2 @ x2
+        u = x @ (x4 + 420.0 * x2 + 15120.0 * eye)
+        v = 30.0 * x4 + 3360.0 * x2 + 30240.0 * eye
+    elif norm <= _THETA[2]:
+        x4 = x2 @ x2
+        x6 = x4 @ x2
+        u = x @ (x6 + 1512.0 * x4 + 277200.0 * x2 + 8648640.0 * eye)
+        v = 56.0 * x6 + 25200.0 * x4 + 1995840.0 * x2 + 17297280.0 * eye
+    elif norm <= _THETA[3]:
+        x4 = x2 @ x2
+        x6 = x4 @ x2
+        x8 = x6 @ x2
+        u = x @ (x8 + 3960.0 * x6 + 2162160.0 * x4 + 302702400.0 * x2
+                 + 8821612800.0 * eye)
+        v = (90.0 * x8 + 110880.0 * x6 + 30270240.0 * x4 + 2075673600.0 * x2
+             + 17643225600.0 * eye)
+    else:
+        b = _B13
+        x4 = x2 @ x2
+        x6 = x4 @ x2
+        u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+                 + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+        v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+             + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    out = np.linalg.solve(v - u, v + u)
+    if s:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(s):
+                out = out @ out
+    if not np.isfinite(out).all():
         raise MatrixOverflowError(
-            f"matrix exponential overflowed (argument norm {np.linalg.norm(a):.3g})"
+            f"matrix exponential overflowed (argument 1-norm {norm:.3g})"
         )
     return out
 

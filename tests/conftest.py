@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from gausslift import QuadraticHamiltonian, Species, standard_kahler
 
@@ -27,6 +28,11 @@ def kf1():
 @pytest.fixture
 def kf2():
     return standard_kahler(2, Species.FERMION)
+
+
+def dense(op):
+    """A Fock operator as a numpy array, whichever storage the rep chose."""
+    return op.toarray() if scipy.sparse.issparse(op) else np.asarray(op)
 
 
 def random_symmetric(rng, n2, scale=1.0):

@@ -383,6 +383,29 @@ class TestSweepTime:
                                       rel_tol=FIG2_RTOL, abs_tol=FIG2_ATOL)
                 assert ok, f"t={row[0]} {name}: {value} vs reference {expected}"
 
+    def test_fig2_sweep_loads_no_scipy(self, tmp_path):
+        # this suite imports scipy itself, so only a fresh interpreter shows
+        # which modules the CLI import and a Fig. 2 sweep load
+        doc = write_doc(tmp_path, dict(FIG2_STABLE_NO_T, time={"t_max": 10.0, "t_step": 0.05}))
+        code = (
+            "import json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "import gausslift.cli\n"
+            "after_import = scipy_modules()\n"
+            "code = gausslift.cli.main(['sweep-time', '--input', sys.argv[1],\n"
+            "                           '--nmax', '20,40,80', '--out', sys.argv[2]])\n"
+            "print(json.dumps([code, after_import, scipy_modules()]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, doc, str(tmp_path / "fig2.csv")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert json.loads(proc.stdout) == [0, [], []]
+
     def test_one_evolution_per_state_and_cutoff(self, tmp_path, monkeypatch):
         # U1|0>, U2|0> and U1 U2|0> are evolved once per cutoff over the
         # whole grid, however many rows it has

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from conftest import FIG2_F, FIG2_STABLE, FIG2_UNSTABLE, random_gqh
+from conftest import FIG2_F, FIG2_STABLE, FIG2_UNSTABLE, dense, random_gqh
 from gausslift import (
     QuadraticHamiltonian,
     build_fock,
@@ -49,7 +49,7 @@ class TestBuildFock:
         n_from_quad = 0.5 * (q @ q + p @ p - np.eye(7))
         np.testing.assert_allclose(np.diag(n_from_quad)[:6], np.arange(6), atol=1e-12)
         np.testing.assert_allclose(
-            rep.number_op.toarray(), np.diag(np.arange(7.0)), atol=1e-13
+            dense(rep.number_op), np.diag(np.arange(7.0)), atol=1e-13
         )
 
     def test_two_mode_embedding(self):

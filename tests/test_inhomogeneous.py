@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_symmetric
+from conftest import dense, random_symmetric
 from gausslift import inhomogeneous, metaplectic, phase_space
 from gausslift import (
     Displacement,
@@ -318,7 +318,7 @@ class TestSdCommute:
             return scipy.linalg.expm(1j * (v[1] * q - v[0] * p))
 
         s_op = scipy.linalg.expm(
-            -1j * rep.hamiltonian_matrix(QuadraticHamiltonian(h=h)).toarray()
+            -1j * dense(rep.hamiltonian_matrix(QuadraticHamiltonian(h=h)))
         )
         m = mat_exp(k1.omega @ h)
         lhs = s_op @ disp(z)

@@ -1,5 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -13,8 +16,15 @@ from gausslift import (
     standard_kahler,
     wrap_angle,
 )
-from gausslift.errors import CommutationError, InvalidStructureError, SpectrumOnCutError
-from gausslift.matfunc import pfaffian
+from conftest import random_antisymmetric, random_symmetric
+from gausslift.errors import (
+    CommutationError,
+    InvalidStructureError,
+    MatrixOverflowError,
+    SpectrumOnCutError,
+)
+from gausslift.fermion import MajoranaRep
+from gausslift.matfunc import _THETA, pfaffian
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -37,10 +47,7 @@ class TestMatExp:
             mat_exp(np.diag([np.log(2.0), -np.log(2.0)])), np.diag([2.0, 0.5]), atol=1e-14
         )
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflow_is_explicit(self):
-        from gausslift.errors import MatrixOverflowError
-
         with pytest.raises(MatrixOverflowError):
             mat_exp(np.diag([1e6, 1e6]))
 
@@ -48,6 +55,60 @@ class TestMatExp:
     @given(small_matrices(3))
     def test_inverse_pairing(self, a):
         np.testing.assert_allclose(mat_exp(a) @ mat_exp(-a), np.eye(3), atol=1e-10)
+
+
+#: 1-norms on both sides of every Padé degree bound and in the scaling branch,
+#: past the largest ||Omega h t||_1 of the Fig. 2 sweep (10, at t = 10)
+PADE_NORMS = [1e-3, 0.9 * _THETA[0], 1.1 * _THETA[0], 0.9 * _THETA[1], 1.1 * _THETA[1],
+              0.9 * _THETA[2], 1.1 * _THETA[2], 0.9 * _THETA[3], 1.1 * _THETA[3],
+              0.9 * _THETA[4], 1.1 * _THETA[4], 13.0]
+
+
+def assert_matches_scipy(a):
+    expected = scipy.linalg.expm(a)
+    err = np.max(np.abs(mat_exp(a) - expected)) / np.max(np.abs(expected))
+    assert err < 1e-13
+
+
+class TestMatExpAgainstScipy:
+    """The numpy Padé exponential against ``scipy.linalg.expm``, relative to
+    the largest entry of e^A."""
+
+    @pytest.mark.parametrize("kind", ["boson", "fermion", "phi1"])
+    @pytest.mark.parametrize("n_modes", [1, 2, 4, 8])
+    @pytest.mark.parametrize("norm", PADE_NORMS)
+    def test_generator(self, rng, kind, n_modes, norm):
+        # Omega h, antisymmetric K, and phi1's augmented [[Omega h, I], [0, 0]]
+        n2 = 2 * n_modes
+        if kind == "fermion":
+            a = random_antisymmetric(rng, n2)
+        else:
+            a = standard_kahler(n_modes).omega @ random_symmetric(rng, n2)
+        a *= norm / np.linalg.norm(a, 1)
+        if kind == "phi1":
+            a = np.block([[a, np.eye(n2)], [np.zeros((n2, n2)), np.zeros((n2, n2))]])
+        assert_matches_scipy(a)
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 3.0])
+    def test_majorana_quadratic_operator(self, rng, n_modes, scale):
+        rep = MajoranaRep(n_modes)
+        h = random_antisymmetric(rng, 2 * n_modes, scale=scale)
+        a = rep.quadratic_operator(h)
+        assert np.iscomplexobj(a)
+        assert_matches_scipy(a)
+
+    @pytest.mark.parametrize(
+        "a",
+        [np.diag([1e6, 1e6]), np.array([[800.0]]), np.array([[0.0, 1e4], [1e4, 0.0]]),
+         np.full((4, 4), 1e200), 1e3 * np.array([[1.0, 1.0j], [-1.0j, 1.0]])],
+        ids=["diagonal", "scalar", "hyperbolic", "huge", "complex"],
+    )
+    def test_overflow_raises_without_warning(self, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MatrixOverflowError):
+                mat_exp(a)
 
 
 class TestLogSqrt:
