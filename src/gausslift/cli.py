@@ -27,7 +27,7 @@ from .fermion import (
     so_generator,
 )
 from .fock import _number_expectation_from_parts, _PairOracle, build_fock, vacuum_amplitude_gqh
-from .generator import QuadraticHamiltonian, gqh_overlap_analytic, lift_from_gqh, z_from_hf
+from .generator import QuadraticHamiltonian, _affine_exp, gqh_overlap_analytic, lift_from_gqh
 from .inhomogeneous import LiftedGaussian, ig_multiply, zeta_cocycle
 from .matfunc import complex_det, mat_exp, wrap_angle
 from .phase_space import Species, split_cd, standard_kahler, validate_group_element
@@ -223,10 +223,8 @@ def _analytic_pair(h1, h2, t, k):
     a non-finite value is a numerical-domain error.  Overflow on the way to it
     is silenced, so that the error stays the only output on stderr."""
     with np.errstate(over="ignore", invalid="ignore"):
-        m1 = mat_exp(k.omega @ h1.h * t)
-        m2 = mat_exp(k.omega @ h2.h * t)
-        z1 = z_from_hf(h1.h * t, h1.f_or_zero * t, k)
-        z2 = z_from_hf(h2.h * t, h2.f_or_zero * t, k)
+        _, z1, m1 = _affine_exp(h1.scaled(t), k)
+        _, z2, m2 = _affine_exp(h2.scaled(t), k)
         zeta = wrap_angle(zeta_cocycle(m1, z1, m2, z2, k))
         number = _number_expectation_from_parts(m1, m2, z1, z2, k)
     if not (np.isfinite(zeta) and np.isfinite(number)):

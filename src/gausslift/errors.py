@@ -49,8 +49,8 @@ class UnitarilyOrthogonalError(NumericalDomainError):
 class ResolventSingularError(NumericalDomainError):
     """A resolvent in a generator formula is genuinely singular.
 
-    Nothing raises it (the lift evaluates beta only near zero); it is kept
-    because the benchmark counts failures by this class.
+    Nothing raises it (the lift forms no resolvent); it is kept because the
+    benchmark counts failures by this class.
     """
 
 

@@ -337,17 +337,12 @@ def number_expectation_analytic(ham1, ham2, t, k):
 
     Uses -tr(I - delta_{M(t)})/4 + z~^T g z~ / 2 with M(t) = e^{Omega h1 t}
     e^{Omega h2 t} and z~ = z1(t) + M1(t) z2(t).  Independent of any phase
-    machinery; only exp/phi1 and the structure enter.
+    machinery: M_i(t) and z_i(t) are the blocks of one exponential each.
     """
-    from .generator import z_from_hf
-    from .matfunc import mat_exp
+    from .generator import _affine_exp
 
-    h1 = np.asarray(ham1.h, dtype=float)
-    h2 = np.asarray(ham2.h, dtype=float)
-    m1 = mat_exp(k.omega @ h1 * t)
-    m2 = mat_exp(k.omega @ h2 * t)
-    z1 = z_from_hf(h1 * t, _ham_parts(ham1, k.n_modes)[1] * t, k)
-    z2 = z_from_hf(h2 * t, _ham_parts(ham2, k.n_modes)[1] * t, k)
+    _, z1, m1 = _affine_exp(ham1.scaled(t), k)
+    _, z2, m2 = _affine_exp(ham2.scaled(t), k)
     return _number_expectation_from_parts(m1, m2, z1, z2, k)
 
 

@@ -2,12 +2,14 @@
 
 Lifts and Pin phases come from scaling and squaring: e^{K/2^s}, close to the
 identity, is lifted on its continuous branch and squared s times with the
-group law ``mp_multiply``; ``lift_from_gqh`` carries the displacement and its
-phase along in displacement-squeezing form.  Every square e^{K/2^j} (j >= 1)
-must have an invertible C; where one does not, a ``NumericalDomainError`` is
-raised and no branch is guessed.  The closed forms ``vacuum_phase_stable``
-(stable bosonic generators) and ``sigma_map`` (spectral radius < 4) are
-independent cross-checks, not paths that the lift takes.
+group law ``mp_multiply``.  Every square e^{K/2^j} (j >= 1) must have an
+invertible C; where one does not, a ``NumericalDomainError`` is raised and no
+branch is guessed.  The displacement z and phase theta of e^{-iH} in
+displacement-squeezing form come with M from one exponential of a
+(2N + 2) x (2N + 2) generator (``_affine_exp``).  The closed forms
+``vacuum_phase_stable`` (stable bosonic generators) and ``sigma_map``
+(spectral radius < 4) are independent cross-checks that share no code with
+the lift.
 """
 
 import functools
@@ -24,7 +26,7 @@ from .errors import (
     NumericalDomainError,
     SpectrumOnCutError,
 )
-from .matfunc import complex_det, imag_trace_log, mat_exp, mat_sqrt_principal, phi1_entire
+from .matfunc import complex_det, imag_trace_log, mat_exp, mat_sqrt_principal
 from .metaplectic import LiftedSymplectic, cocycle_eta, mp_multiply
 from .inhomogeneous import _gamma, ig_from_parts
 from .phase_space import Species, delta_y_z, split_cd
@@ -68,9 +70,12 @@ class QuadraticHamiltonian:
                 raise InputError(f"f must have shape {(h.shape[0],)}, got {f.shape}")
             if self.species is Species.FERMION and np.any(f):
                 raise InputError("fermions admit no linear term")
+        c = float(self.c)
+        if not (np.isfinite(h).all() and np.isfinite(c) and (f is None or np.isfinite(f).all())):
+            raise InputError("h, f and c must be finite")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "f", f)
-        object.__setattr__(self, "c", float(self.c))
+        object.__setattr__(self, "c", c)
 
     @property
     def f_or_zero(self):
@@ -84,17 +89,21 @@ class QuadraticHamiltonian:
         )
 
 
+#: terms of the odd beta series; at radius 4 the last is 1e-17 of the first
+_BETA_SERIES_TERMS = 48
+
+
 @functools.cache
-def _beta_series_coefficients(count=48):
+def _beta_series_coefficients():
     """Coefficients k B_{2k} / (2k)! of x^(2k-1) in (x - sinh x)/(4(1 - cosh x)).
 
     Exact in rationals, then rounded once: b_m = B_m / m! solves
     sum_{j <= m} b_j / (m + 1 - j)! = 0 for m >= 1, with b_0 = 1.
     """
     b = [Fraction(1)]
-    for m in range(1, 2 * count + 1):
+    for m in range(1, 2 * _BETA_SERIES_TERMS + 1):
         b.append(-sum(bj / factorial(m + 1 - j) for j, bj in enumerate(b)))
-    return tuple(float(k * b[2 * k]) for k in range(1, count + 1))
+    return tuple(float(k * b[2 * k]) for k in range(1, _BETA_SERIES_TERMS + 1))
 
 
 def _beta_function(kmat):
@@ -112,18 +121,34 @@ def _beta_function(kmat):
     return kmat @ acc
 
 
-def z_from_hf(h, f, k):
-    """Displacement of e^{-iH}: z = Omega phi1(-K)^T f with K = Omega h.
+def _affine_exp(ham, k):
+    """(theta, z, M) with e^{-iH} = e^{i theta} D(z) S(M), from one exponential.
 
-    Entire in K, so singular h needs no special handling; agrees with the
+    The law (theta1 + theta2 + omega(z1, M1 z2)/2, z1 + M1 z2, M1 M2) is the
+    product of the matrices [[1, z^T Omega^{-1} M / 2, theta], [0, M, z],
+    [0, 0, 1]], and e^{-iH} is the exponential of
+    X = [[0, b^T Omega^{-1} / 2, -c], [0, K, b], [0, 0, 0]] with K = Omega h
+    and b = Omega f.  The blocks of e^X are entire in K, so singular h needs
+    no special case.
+    """
+    n2 = k.dim
+    b = k.omega @ ham.f_or_zero
+    x = np.zeros((n2 + 2, n2 + 2))
+    x[0, 1:-1] = 0.5 * b @ k.omega_inv
+    x[0, -1] = -ham.c
+    x[1:-1, 1:-1] = k.omega @ ham.h
+    x[1:-1, -1] = b
+    e = mat_exp(x)
+    return float(e[0, -1]), e[1:-1, -1], e[1:-1, 1:-1]
+
+
+def z_from_hf(h, f, k):
+    """Displacement of e^{-iH}, the z block of ``_affine_exp``.
+
+    Equals Omega phi1(-K)^T f with K = Omega h, and the
     f (e^{-Omega h} - I) h^{-1} contraction whenever h is invertible.
     """
-    h = np.asarray(h, dtype=float)
-    f = np.zeros(k.dim) if f is None else np.asarray(f, dtype=float)
-    if not np.any(f):
-        return np.zeros(k.dim)
-    kgen = k.omega @ h
-    return k.omega @ (phi1_entire(-kgen).T @ f)
+    return _affine_exp(QuadraticHamiltonian(h=h, f=f), k)[1]
 
 
 def sigma_map(kgen, k):
@@ -132,38 +157,37 @@ def sigma_map(kgen, k):
     return delta_y_z(mat_exp(kgen), k).y + 4.0 * _beta_function(kgen)
 
 
-def _scaled_lift(kgen, k):
-    """Least s >= 0 with ||K / 2^s||_2 <= 1/4, and the lift of e^{K/2^s}.
+def _squared_lift(kgen, k):
+    """Lift of e^K: the lift of e^{K/2^s} squared s times with ``mp_multiply``.
 
-    There ||C - I|| < 0.3, so psi = e^{(i/2) Im Tr log C} (the sum of principal
-    eigenvalue angles, right for any N, unlike the principal root of det C) is
-    the branch continuous from the identity.
+    s >= 0 is the least with ||K / 2^s||_2 <= 1/4.  There ||C - I|| < 0.3, so
+    psi = e^{(i/2) Im Tr log C} (the sum of principal eigenvalue angles, right
+    for any N, unlike the principal root of det C) is the branch continuous
+    from the identity.  Every square e^{K/2^j} (j >= 1) needs an invertible C,
+    because the cocycle reads its Z map; otherwise a ``NumericalDomainError``
+    is raised and no branch is guessed.
     """
     norm = np.linalg.norm(kgen, 2)
     s = int(np.ceil(np.log2(norm / _SQUARING_NORM))) if norm > _SQUARING_NORM else 0
     m = mat_exp(kgen / 2.0 ** s)
-    return s, LiftedSymplectic(m=m, psi=np.exp(0.5j * imag_trace_log(split_cd(m, k)[0])), k=k)
+    lifted = LiftedSymplectic(m=m, psi=np.exp(0.5j * imag_trace_log(split_cd(m, k)[0])), k=k)
+    for _ in range(s):
+        lifted = mp_multiply(lifted, lifted)
+    return lifted
 
 
 def vacuum_phase_tracked(kgen, k):
     """Measured vacuum phase of e^{K-hat} by scaling and squaring in the double cover.
 
-    Squares the lift of e^{K/2^s} from ``_scaled_lift`` s times with
-    ``mp_multiply``, which gives the lift of e^K: psi* for bosons and psi for
+    The lift of e^K from ``_squared_lift`` gives psi* for bosons and psi for
     fermions.  The name says which phase this is: the one that continuous
     tracking along t -> e^{tK} from +1 at t = 0 defines, which squaring
     reaches exactly without a grid.
-
-    Envelope: every square e^{K/2^j} (j >= 1) needs an invertible C, because
-    the cocycle reads its Z map; otherwise a ``NumericalDomainError`` is
-    raised and no branch is guessed.
     """
     kgen = np.asarray(kgen, dtype=float)
     if not kgen.any():
         return 1.0 + 0.0j
-    s, lifted = _scaled_lift(kgen, k)
-    for _ in range(s):
-        lifted = mp_multiply(lifted, lifted)
+    lifted = _squared_lift(kgen, k)
     return complex(np.conj(lifted.psi) if k.species is Species.BOSON else lifted.psi)
 
 
@@ -229,23 +253,14 @@ def vacuum_phase_stable(kgen, k):
 def _lift_parts(ham, k):
     """(theta, z, S) with e^{-iH} = e^{i theta} D(z) S, S a ``LiftedSymplectic``.
 
-    Squares e^{-iH/2^s} = e^{i theta} D(z) S s times, with S from
-    ``_scaled_lift``, z = ``z_from_hf`` and theta = z omega beta z - c at
-    H/2^s: (e^{i theta} D(z) S)^2 = e^{2 i theta} D(z) D(Mz) S^2 gives
-    theta -> 2 theta + omega(z, Mz)/2, z -> z + Mz and S -> S S.
+    S is the lift of e^K from ``_squared_lift``, formed first so that a
+    refused input is refused by the squaring; theta and z come from
+    ``_affine_exp``.
     """
     if ham.species is not Species.BOSON or k.species is not Species.BOSON:
         raise InputError("generator lifting covers bosons")
-    kgen = k.omega @ ham.h
-    s, lifted = _scaled_lift(kgen, k)
-    step = ham.scaled(2.0 ** -s)
-    z = z_from_hf(step.h, step.f, k)
-    theta = k.omega_bilinear(z, _beta_function(kgen / 2.0 ** s) @ z) - step.c
-    for _ in range(s):
-        mz = lifted.m @ z
-        theta = 2.0 * theta + 0.5 * k.omega_bilinear(z, mz)
-        z = z + mz
-        lifted = mp_multiply(lifted, lifted)
+    lifted = _squared_lift(k.omega @ ham.h, k)
+    theta, z, _ = _affine_exp(ham, k)
     return theta, z, lifted
 
 

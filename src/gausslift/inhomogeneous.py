@@ -55,7 +55,9 @@ class LiftedGaussian:
             raise InputError(f"matrix is not a group element (residual {residual:.3g})")
         if z.shape != (self.k.dim,):
             raise InputError(f"z must have shape {(self.k.dim,)}, got {z.shape}")
-        if abs(abs(psi) - 1.0) > 1e-10:
+        if not np.isfinite(z).all():
+            raise InputError("z must be finite")
+        if not abs(abs(psi) - 1.0) <= 1e-10:  # also refuses a non-finite Psi
             raise InputError(f"|Psi| = {abs(psi)} is not on the unit circle")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "z", z)

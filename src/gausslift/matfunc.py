@@ -23,9 +23,6 @@ from .errors import (
 #: relative tolerance for the [K, J] = 0 check before block extraction
 COMMUTATION_RTOL = 1e-8
 
-#: below this norm phi1 switches to its truncated power series
-PHI1_SERIES_NORM = 1e-3
-
 
 def _as_square(a, name):
     a = np.asarray(a)
@@ -122,25 +119,14 @@ def mat_sqrt_principal(a):
 def phi1_entire(k):
     """The entire function (e^K - I) K^{-1}, exact also for singular K.
 
-    Evaluated by the truncated power series sum_j K^j/(j+1)! below
-    ``PHI1_SERIES_NORM`` and through the exponential of the augmented block
-    matrix [[K, I], [0, 0]] otherwise; both routes avoid forming K^{-1}.
+    The top-right block of the exponential of [[K, I], [0, 0]], so no K^{-1}
+    is formed; at K = 0 the argument is nilpotent and its Padé value exact.
     """
     k = _as_square(k, "phi1_entire argument")
     n = k.shape[0]
-    eye = np.eye(n, dtype=k.dtype)
-    if np.linalg.norm(k, 2) < PHI1_SERIES_NORM:
-        out = eye.copy()
-        term = eye.copy()
-        for j in range(1, 12):
-            term = term @ k / (j + 1)
-            out = out + term
-            if np.max(np.abs(term)) < 1e-18:
-                break
-        return out
     aug = np.zeros((2 * n, 2 * n), dtype=np.result_type(k.dtype, float))
     aug[:n, :n] = k
-    aug[:n, n:] = eye
+    aug[:n, n:] = np.eye(n)
     return mat_exp(aug)[:n, n:]
 
 

@@ -41,7 +41,7 @@ class LiftedSymplectic:
         ok, residual = validate_group_element(m, self.k)
         if not ok:
             raise InputError(f"matrix is not a group element (residual {residual:.3g})")
-        if abs(abs(psi) - 1.0) > 1e-10:
+        if not abs(abs(psi) - 1.0) <= 1e-10:  # also refuses a non-finite psi
             raise InputError(f"|psi| = {abs(psi)} is not on the unit circle")
         phi = circle_function(m, self.k)
         if abs(psi * psi - phi) > LIFT_PHASE_TOL:

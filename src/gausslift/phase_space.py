@@ -117,7 +117,6 @@ def split_cd(m, k):
 
 
 class DeltaYZ(NamedTuple):
-    delta: np.ndarray
     y: np.ndarray
     z: np.ndarray
 
@@ -127,9 +126,9 @@ def delta_y_z(m, k):
 
     z = Z_M = C^{-1} D; y = Y_M = Z_{M^{-1}} solves C^T y = -+D^T, since
     C_{M^{-1}} = C^T and D_{M^{-1}} = -D^T (bosons) or +D^T (fermions) at the
-    standard structure; delta = -M J M^{-1} J = 2 M C^T - I.  One test covers
-    both maps, as C^T has the singular values of C: a numerically singular C,
-    or one whose SVD does not converge, raises ``NumericalDomainError``.
+    standard structure.  One test covers both maps, as C^T has the singular
+    values of C: a numerically singular C, or one whose SVD does not converge,
+    raises ``NumericalDomainError``.
     """
     m = np.asarray(m, dtype=float)
     c, d = split_cd(m, k)
@@ -140,11 +139,7 @@ def delta_y_z(m, k):
     if sv[-1] < 1e-9 * max(sv[0], 1.0):
         raise NumericalDomainError("C_M is singular: the Z map does not exist")
     d_inv = -d.T if k.species is Species.BOSON else d.T
-    return DeltaYZ(
-        delta=2.0 * m @ c.T - np.eye(k.dim),
-        y=np.linalg.solve(c.T, d_inv),
-        z=np.linalg.solve(c, d),
-    )
+    return DeltaYZ(y=np.linalg.solve(c.T, d_inv), z=np.linalg.solve(c, d))
 
 
 def random_group_element(k, rng, scale=1.0):

@@ -232,12 +232,23 @@ class TestErrorPaths:
             (["verify", "--tol", "0"], FIG2_STABLE_DOC),
             (["verify", "--t", "nan"], FIG2_STABLE_NO_T),
             (["verify"], dict(FIG2_STABLE_DOC, t="inf")),
+            (["compose"], {"species": "boson", "N": 1,
+                           "elements": [{"M": [[1, 0], [0, 1]], "z": [float("nan"), 0]}]}),
+            (["compose"], {"species": "boson", "N": 1,
+                           "elements": [{"M": [[1, 0], [0, 1]], "Psi": [float("nan"), 0]}]}),
+            (["lift"], {"species": "boson", "N": 1,
+                        "hamiltonians": [{"h": [[1, 0], [0, 1]], "f": [float("nan"), 0]}]}),
+            (["lift"], {"species": "boson", "N": 1,
+                        "hamiltonians": [{"h": [[1, 0], [0, 1]], "c": float("inf")}]}),
+            (["sweep-time"], {"species": "boson", "N": 1, "hamiltonians": [
+                {"h": [[1, 0], [0, 1]], "f": [float("nan"), 0]}, {"h": [[1, 0], [0, 1]]}]}),
         ],
         ids=["N-text", "nmax-flag-text", "t-text", "verify-two-cutoffs", "grid-axis-pair",
              "grid-axis-text", "tau-flag-text", "nmax-not-list", "t-max-text", "h-text",
              "c-text", "psi-text", "document-not-object", "time-not-object",
              "grid-not-object", "hamiltonian-not-object", "element-not-object",
-             "tol-flag-nan", "tol-flag-negative", "tol-flag-zero", "t-flag-nan", "t-infinite"],
+             "tol-flag-nan", "tol-flag-negative", "tol-flag-zero", "t-flag-nan", "t-infinite",
+             "z-nan", "psi-nan", "f-nan", "c-infinite", "sweep-f-nan"],
     )
     def test_malformed_value_exits_two(self, tmp_path, capsys, argv, doc):
         assert run(argv + ["--input", write_doc(tmp_path, doc)]) == 2
@@ -383,29 +394,6 @@ class TestSweepTime:
                                       rel_tol=FIG2_RTOL, abs_tol=FIG2_ATOL)
                 assert ok, f"t={row[0]} {name}: {value} vs reference {expected}"
 
-    def test_fig2_sweep_loads_no_scipy(self, tmp_path):
-        # this suite imports scipy itself, so only a fresh interpreter shows
-        # which modules the CLI import and a Fig. 2 sweep load
-        doc = write_doc(tmp_path, dict(FIG2_STABLE_NO_T, time={"t_max": 10.0, "t_step": 0.05}))
-        code = (
-            "import json, sys\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-            "import gausslift.cli\n"
-            "after_import = scipy_modules()\n"
-            "code = gausslift.cli.main(['sweep-time', '--input', sys.argv[1],\n"
-            "                           '--nmax', '20,40,80', '--out', sys.argv[2]])\n"
-            "print(json.dumps([code, after_import, scipy_modules()]))\n"
-        )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", code, doc, str(tmp_path / "fig2.csv")],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert json.loads(proc.stdout) == [0, [], []]
-
     def test_one_evolution_per_state_and_cutoff(self, tmp_path, monkeypatch):
         # U1|0>, U2|0> and U1 U2|0> are evolved once per cutoff over the
         # whole grid, however many rows it has
@@ -442,6 +430,47 @@ class TestSweepTime:
         assert run(["sweep-time", "--input", doc, "--nmax", "12"]) == 0
         header = capsys.readouterr().out.splitlines()[0]
         assert "zeta_numeric_nmax12" in header and "nmax20" not in header
+
+
+class TestBosonicCommandsLoadNoScipy:
+    """The bosonic path runs in numpy alone: no command loads a scipy module."""
+
+    @pytest.mark.parametrize(
+        "argv, doc",
+        [
+            (["sweep-time", "--nmax", "20,40,80"],
+             dict(FIG2_STABLE_NO_T, time={"t_max": 10.0, "t_step": 0.05})),
+            (["lift"], FIG2_STABLE_DOC),
+            (["compose"], {"species": "boson", "N": 1, "elements": [
+                {"M": [[2.0, 0.0], [0.0, 0.5]], "z": [0.3, -0.2]},
+                {"M": [[1, 0], [0, 1]], "z": [1.0, 0.0], "Psi": [0, 1]}]}),
+            (["phase"], FIG2_STABLE_DOC),
+            (["verify", "--nmax", "80"], FIG2_STABLE_DOC),
+            (["sweep-grid"], {"species": "boson", "N": 1}),
+        ],
+        ids=["fig2-sweep-time", "lift", "compose", "phase", "verify", "sweep-grid"],
+    )
+    def test_command_loads_no_scipy(self, tmp_path, argv, doc):
+        # this suite imports scipy itself, so only a fresh interpreter shows
+        # which modules the CLI import and the command load
+        code = (
+            "import json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+            "import gausslift.cli\n"
+            "after_import = scipy_modules()\n"
+            "code = gausslift.cli.main(json.loads(sys.argv[1]))\n"
+            "print(json.dumps([code, after_import, scipy_modules()]))\n"
+        )
+        argv = argv + ["--input", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(argv)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert json.loads(proc.stdout) == [0, [], []]
 
 
 class TestSweepGrid:

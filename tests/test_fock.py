@@ -15,7 +15,6 @@ from gausslift import (
     truncation_reliable_pair,
     vacuum_amplitude_gqh,
     wrap_angle,
-    z_from_hf,
     zeta_numeric,
 )
 from gausslift.errors import PhaseUndefinedError, SizeGuardError
@@ -26,7 +25,7 @@ from gausslift.fock import (
     _number_expectation_from_parts,
     _PairOracle,
 )
-from gausslift.matfunc import mat_exp
+from gausslift.generator import _affine_exp
 
 
 class TestBuildFock:
@@ -247,10 +246,8 @@ class TestPairOracle:
         h1 = QuadraticHamiltonian(h=FIG2_UNSTABLE[0], f=FIG2_F)
         h2 = QuadraticHamiltonian(h=FIG2_UNSTABLE[1], f=FIG2_F)
         for t in (0.0, 0.35, 1.7, 4.9):
-            m1 = mat_exp(k1.omega @ h1.h * t)
-            m2 = mat_exp(k1.omega @ h2.h * t)
-            z1 = z_from_hf(h1.h * t, h1.f_or_zero * t, k1)
-            z2 = z_from_hf(h2.h * t, h2.f_or_zero * t, k1)
+            _, z1, m1 = _affine_exp(h1.scaled(t), k1)
+            _, z2, m2 = _affine_exp(h2.scaled(t), k1)
             assert number_expectation_analytic(h1, h2, t, k1) == (
                 _number_expectation_from_parts(m1, m2, z1, z2, k1)
             )

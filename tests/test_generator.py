@@ -11,6 +11,7 @@ from gausslift import (
     ig_multiply,
     lift_from_gqh,
     mat_exp,
+    phi1_entire,
     sigma_map,
     standard_kahler,
     truncation_reliable,
@@ -25,7 +26,7 @@ from gausslift.errors import (
     NumericalDomainError,
     SpectrumOnCutError,
 )
-from gausslift.generator import _beta_function
+from gausslift.generator import _affine_exp, _beta_function
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -47,6 +48,13 @@ class TestQuadraticHamiltonian:
 
         with pytest.raises(InputError):
             QuadraticHamiltonian(h=0.3 * ROT, f=np.array([1.0, 0.0]), species=Species.FERMION)
+
+    @pytest.mark.parametrize("field", ["h", "f", "c"])
+    def test_non_finite_coefficients_rejected(self, field):
+        parts = {"h": np.eye(2), "f": np.array([1.0, 0.0]), "c": 0.5}
+        parts[field] = parts[field] * np.nan
+        with pytest.raises(InputError, match="finite"):
+            QuadraticHamiltonian(**parts)
 
     def test_scaled(self):
         ham = QuadraticHamiltonian(h=np.eye(2), f=np.array([1.0, 2.0]), c=0.5)
@@ -115,6 +123,67 @@ class TestZFromHF:
             [np.real(np.vdot(st, q @ st)), np.real(np.vdot(st, p @ st))]
         )
         np.testing.assert_allclose(z_from_hf(FIG2_STABLE[0], FIG2_F, k1), oracle, atol=1e-6)
+
+
+#: 1-norms of the (2N + 2) x (2N + 2) generator on both sides of each Padé
+#: degree bound of ``mat_exp`` (1.5e-2, 0.25, 0.95, 2.1 and 5.4)
+AFFINE_NORMS = (0.01, 0.02, 0.2, 0.3, 0.9, 1.0, 2.0, 2.2, 5.0, 6.0, 12.0)
+
+
+def _affine_hamiltonians(rng, n_modes):
+    """(H, ||X||_1) over ``AFFINE_NORMS``: balanced and force-dominated H, and
+    H with a singular h, each scaled so that its generator X has that 1-norm."""
+    n2 = 2 * n_modes
+    k = standard_kahler(n_modes)
+    for target in AFFINE_NORMS:
+        for f_weight, rank in ((1.0, n2), (5.0, n2), (1.0, n2 - 1)):
+            h = random_symmetric(rng, n2)
+            if rank < n2:
+                vals, vecs = np.linalg.eigh(h)
+                vals[np.argmin(np.abs(vals))] = 0.0
+                h = (vecs * vals) @ vecs.T
+            f = f_weight * rng.standard_normal(n2) / np.sqrt(n2)
+            c = rng.uniform(-1.0, 1.0)
+            # columns of X: |K_.j| + |f_j|/2 (b^T Omega^{-1} = -f^T), then |c| + |b|
+            norm = max(np.max(np.abs(k.omega @ h).sum(0) + 0.5 * np.abs(f)),
+                       abs(c) + np.abs(f).sum())
+            yield QuadraticHamiltonian(h=h, f=f, c=c).scaled(target / norm), target
+
+
+class TestAffineExp:
+    """(theta, z, M) of e^{-iH} from one exponential, against the closed forms
+    that the lift does not use: phi1 for z, beta for theta, e^K for M."""
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 4, 8])
+    def test_blocks_match_closed_forms(self, rng, n_modes):
+        k = standard_kahler(n_modes)
+        beta_checked = set()
+        for ham, target in _affine_hamiltonians(rng, n_modes):
+            kgen = k.omega @ ham.h
+            theta, z, m = _affine_exp(ham, k)
+            np.testing.assert_allclose(m, mat_exp(kgen), rtol=0, atol=1e-12 * np.abs(m).max())
+            z_ref = k.omega @ (phi1_entire(-kgen).T @ ham.f)
+            assert np.linalg.norm(z - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
+            if np.max(np.abs(np.linalg.eigvals(kgen))) < 4.0:
+                beta = _beta_function(kgen)
+                quad = k.omega_bilinear(z, beta @ z)
+                scale = abs(ham.c) + np.linalg.norm(z) ** 2 * np.linalg.norm(beta, 2)
+                assert abs(theta - (quad - ham.c)) <= 1e-12 * scale
+                beta_checked.add(target)
+        assert beta_checked == set(AFFINE_NORMS)
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 4])
+    def test_square_follows_the_group_law(self, rng, n_modes):
+        # (theta, z, M)^2 = (2 theta + omega(z, M z)/2, z + M z, M^2) is H at t = 2
+        k = standard_kahler(n_modes)
+        for ham, _ in _affine_hamiltonians(rng, n_modes):
+            theta, z, m = _affine_exp(ham, k)
+            theta2, z2, m2 = _affine_exp(ham.scaled(2.0), k)
+            scale = max(1.0, np.abs(m2).max())
+            np.testing.assert_allclose(m2, m @ m, rtol=0, atol=1e-12 * scale)
+            np.testing.assert_allclose(z2, z + m @ z, rtol=0, atol=1e-12 * scale)
+            expected = 2.0 * theta + 0.5 * k.omega_bilinear(z, m @ z)
+            assert theta2 == pytest.approx(expected, abs=1e-12 * scale * max(1.0, abs(expected)))
 
 
 class TestSigmaMap:

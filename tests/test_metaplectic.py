@@ -83,6 +83,11 @@ class TestMpLift:
         with pytest.raises(InputError):
             mp_lift(np.diag([2.0, 2.0]), k1)
 
+    @pytest.mark.parametrize("psi", [complex(np.nan, 0.0), complex(np.inf, 0.0)])
+    def test_non_finite_psi_rejected(self, k1, psi):
+        with pytest.raises(InputError):
+            LiftedSymplectic(m=np.eye(2), psi=psi, k=k1)
+
 
 class TestMpMultiply:
     def test_identity_neutral(self, rng, k2):

@@ -136,28 +136,20 @@ class TestSplitCD:
 class TestDeltaYZ:
     def test_identity(self, k1):
         out = delta_y_z(np.eye(2), k1)
-        np.testing.assert_allclose(out.delta, np.eye(2), atol=0)
         np.testing.assert_allclose(out.y, np.zeros((2, 2)), atol=0)
         np.testing.assert_allclose(out.z, np.zeros((2, 2)), atol=0)
 
     def test_passive_element(self, k1):
         u = mat_exp(0.7 * np.asarray(k1.j))
         out = delta_y_z(u, k1)
-        np.testing.assert_allclose(out.delta, np.eye(2), atol=1e-12)
         np.testing.assert_allclose(out.y, np.zeros((2, 2)), atol=1e-12)
 
     def test_squeeze_frozen_values(self, k1):
         out = delta_y_z(np.diag([2.0, 0.5]), k1)
-        np.testing.assert_allclose(out.delta, np.diag([4.0, 0.25]), atol=1e-14)
         np.testing.assert_allclose(out.y, np.diag([-0.6, 0.6]), atol=1e-14)
         # cross-check y = z of the inverse element through the C/D route
         inv = delta_y_z(np.diag([0.5, 2.0]), k1)
         np.testing.assert_allclose(out.y, inv.z, atol=1e-14)
-
-    def test_delta_equals_gram_at_standard_point(self, rng, k2):
-        m = random_group_element(k2, rng)
-        out = delta_y_z(m, k2)
-        np.testing.assert_allclose(out.delta, m @ m.T, atol=1e-10)
 
     def test_y_spectrum_inside_unit_interval(self, rng, k2):
         for _ in range(10):
