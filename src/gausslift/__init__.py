@@ -71,7 +71,6 @@ from .fock import (
 )
 from .fermion import (
     MajoranaRep,
-    ReflectionVector,
     build_majorana,
     fermion_vacuum_amplitude,
     mw_reflection,

@@ -89,8 +89,24 @@ def _convert(kind, value, name):
         raise InputError(f"{name} has an invalid value {value!r}") from None
 
 
+def _parse_int(value, name):
+    """An integer field: a boolean or a number with a fractional part (or no
+    finite value) is an input error, as is anything ``int`` does not take."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return _convert(int, value, name)
+
+
+def _parse_float(value, name):
+    """A real field: a value that is not a finite number is an input error."""
+    x = _convert(float, value, name)
+    if not np.isfinite(x):
+        raise InputError(f"{name} must be finite, got {x!r}")
+    return x
+
+
 def _parse_modes(doc):
-    return _convert(int, _require(doc, "N"), "N")
+    return _parse_int(_require(doc, "N"), "N")
 
 
 def _parse_species(doc):
@@ -168,18 +184,19 @@ def _element_doc(u):
     }
 
 
-def _parse_angle(text):
+def _parse_angle(text, name):
+    """A finite angle in radians, or in degrees with a ``deg`` suffix."""
     text = text.strip()
     if text.endswith("deg"):
-        return _convert(float, text[:-3], "angle") * np.pi / 180.0
-    return _convert(float, text, "angle")
+        return _parse_float(text[:-3], name) * np.pi / 180.0
+    return _parse_float(text, name)
 
 
 def _parse_nmax_list(value, default):
     items = default if value is None else str(value).split(",")
     if not isinstance(items, list):
         raise InputError("time.nmax must be a list of cutoffs")
-    return [_convert(int, v, "n_max") for v in items if v != ""]
+    return [_parse_int(v, "n_max") for v in items if v != ""]
 
 
 def _parse_grid_axis(spec, key):
@@ -188,10 +205,10 @@ def _parse_grid_axis(spec, key):
     if not isinstance(triple, list) or len(triple) != 3:
         raise InputError(f"grid.{key} must be a [min, max, num] triple")
     name = f"grid.{key}"
-    num = _convert(int, triple[2], name)
+    num = _parse_int(triple[2], f"{name} point count")
     if num < 0:
         raise InputError(f"{name} needs a non-negative point count")
-    return np.linspace(_convert(float, triple[0], name), _convert(float, triple[1], name), num)
+    return np.linspace(_parse_float(triple[0], name), _parse_float(triple[1], name), num)
 
 
 def _write_output(text, out_path):
@@ -300,9 +317,7 @@ def _cmd_verify(args):
     doc, k = _structure(args, Species.BOSON, "verify covers bosonic hamiltonians")
     hams = _parse_hamiltonians(doc, k, minimum=2)
     h1, h2 = hams[0], hams[1]
-    t = _convert(float, doc.get("t", args.t), "t")
-    if not np.isfinite(t):
-        raise InputError(f"t (field or --t) must be finite, got {t!r}")
+    t = _parse_float(doc.get("t", args.t), "t")
     tol = args.tol
     if not (np.isfinite(tol) and tol > 0):
         raise InputError(f"--tol must be finite and positive, got {tol!r}")
@@ -349,9 +364,9 @@ def _cmd_sweep_time(args):
     hams = _parse_hamiltonians(doc, k, minimum=2)
     h1, h2 = hams[0], hams[1]
     spec = _object(doc.get("time", {}), "time")
-    t_max = _convert(float, spec.get("t_max", 10.0), "time.t_max")
-    t_step = _convert(float, spec.get("t_step", 0.05), "time.t_step")
-    if not (t_step > 0 and 0 <= t_max < np.inf):
+    t_max = _parse_float(spec.get("t_max", 10.0), "time.t_max")
+    t_step = _parse_float(spec.get("t_step", 0.05), "time.t_step")
+    if not (t_step > 0 and t_max >= 0):
         raise InputError("time grid needs t_step > 0 and a finite t_max >= 0")
     nmax_list = _parse_nmax_list(args.nmax, spec.get("nmax", [80]))
     reps = {n: build_fock(k.n_modes, n) for n in nmax_list}
@@ -403,11 +418,11 @@ def _cmd_sweep_grid(args):
     spec = _object(doc.get("grid", {}), "grid")
     a_vals = _parse_grid_axis(spec, "a")
     c_vals = _parse_grid_axis(spec, "c")
-    rho = _convert(float, spec.get("rho", 0.0) if args.rho is None else args.rho, "rho")
+    rho = _parse_float(spec.get("rho", 0.0) if args.rho is None else args.rho, "rho")
     if args.tau is None:
-        tau = _convert(float, spec.get("tau", 0.0), "tau")
+        tau = _parse_float(spec.get("tau", 0.0), "tau")
     else:
-        tau = _parse_angle(args.tau)
+        tau = _parse_angle(args.tau, "tau")
     x_gen = np.array([[0.0, 1.0], [1.0, 0.0]])
     z_gen = np.array([[0.0, 1.0], [-1.0, 0.0]])
     f = rho * np.array([np.cos(tau), np.sin(tau)])
@@ -434,7 +449,7 @@ def _cmd_fermion(args):
     refl = reference_reflection(k)
     if "w" in doc:
         refl = normalize_reflection(_parse_vector(doc["w"], k.dim, "w"), k)
-    out["w"] = refl.w.tolist()
+    out["w"] = refl.tolist()
     mw = mw_reflection(refl, k)
     out["M_w"] = mw.tolist()
     out["M_w_det"] = float(np.linalg.det(mw))

@@ -7,14 +7,12 @@ ground truth for the fermionic circle-function convention (no conjugation:
 the measured vacuum phase of e^{K-hat} squares to complex_det(C_{e^K})).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InputError, InvalidStructureError, NumericalDomainError
 from .generator import vacuum_phase_tracked
 from .matfunc import mat_exp
-from .phase_space import Species, validate_group_element
+from .phase_space import GROUP_RESIDUAL_TOL, Species, validate_group_element
 
 #: tolerance on the w G w = 2 normalization of a reflection vector
 REFLECTION_NORM_TOL = 1e-12
@@ -23,40 +21,36 @@ REFLECTION_NORM_TOL = 1e-12
 SO_GENERATOR_TOL = 1e-10
 
 
-@dataclass(frozen=True, eq=False)
-class ReflectionVector:
-    """Dual vector w with w G w = 2, generating a det = -1 reflection."""
-
-    w: np.ndarray
-
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        if w.ndim != 1 or not np.all(np.isfinite(w)):
-            raise InputError("reflection vector must be a finite 1-d array")
-        object.__setattr__(self, "w", w)
+def _reflection_array(w):
+    """``w`` as a float array, refused unless it is a finite 1-d array."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or not np.all(np.isfinite(w)):
+        raise InputError("reflection vector must be a finite 1-d array")
+    return w
 
 
 def reference_reflection(k):
-    """The fixed global reference: first basis direction scaled to norm sqrt 2."""
+    """The fixed global reference w: first basis direction scaled to norm sqrt 2."""
     w = np.zeros(k.dim)
     w[0] = np.sqrt(2.0)
-    return ReflectionVector(w=w)
+    return w
 
 
 def normalize_reflection(w, k):
-    """Rescale w to satisfy w G w = 2."""
-    w = np.asarray(w, dtype=float)
+    """Rescale the reflection vector w to satisfy w G w = 2."""
+    w = _reflection_array(w)
     norm = float(w @ k.metric @ w)
     if norm <= 0.0:
         raise InputError("reflection vector must have positive metric norm")
-    return ReflectionVector(w=w * np.sqrt(2.0 / norm))
+    return w * np.sqrt(2.0 / norm)
 
 
-def mw_reflection(refl, k):
-    """Reflection matrix M_w = (G w) w^T - I; orthogonal, det = -1, involutive."""
+def mw_reflection(w, k):
+    """Reflection matrix M_w = (G w) w^T - I of a vector w with w G w = 2;
+    orthogonal, det = -1, involutive."""
     if k.species is not Species.FERMION:
         raise InputError("reflections belong to the fermionic component")
-    w = refl.w if isinstance(refl, ReflectionVector) else np.asarray(refl, dtype=float)
+    w = _reflection_array(w)
     if not np.any(w):
         raise InputError("zero vector generates no reflection")
     norm = float(w @ k.metric @ w)
@@ -77,7 +71,7 @@ def so_generator(m):
 
     m = np.asarray(m, dtype=float)
     n = m.shape[0]
-    if np.max(np.abs(m @ m.T - np.eye(n))) > 1e-8:
+    if np.max(np.abs(m @ m.T - np.eye(n))) > GROUP_RESIDUAL_TOL:
         raise InputError("matrix is not orthogonal")
     if np.linalg.det(m) < 0:
         raise InputError("matrix has det = -1; no special-orthogonal generator")

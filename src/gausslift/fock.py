@@ -8,13 +8,14 @@ one ``eigh``, so this branch (which every Fig. 2 sweep takes) runs in numpy
 alone and uses one OpenBLAS pool; above it, operators are scipy sparse
 matrices and each time is one Krylov ``expm_multiply``, and only that branch
 imports scipy.
-The evolution of the vacuum and the pair oracle take one time or a 1-D array
-of times; for an array, states are stacked one row per time, and a time
-sweep costs one product per state instead of one per time.  Every vacuum
-amplitude is read off an evolved state, as its first entry.  This module is
-the independent truth source the analytic phase formulas are verified
-against; it must not import any of them (the analytic number expectation
-below uses only group-level data).
+Every state comes from one routine, ``_Evolution.apply(t, vec)``: U|0> is
+the vacuum evolved by U, and U1 U2|0> is U2|0> evolved by U1.  It takes one
+time or a 1-D array of times; for an array, states are stacked one row per
+time, and a time sweep costs one product per state instead of one per time.
+Every vacuum amplitude is read off an evolved state, as its first entry.
+This module is the independent truth source the analytic phase formulas are
+verified against; it must not import any of them (the analytic number
+expectation below uses only group-level data).
 """
 
 from functools import cached_property, partial, reduce
@@ -99,8 +100,11 @@ class FockRep:
 
         Each xi^a xi^b is multiplied out on its one or two modes and then
         embedded, so no product of two full-size matrices is formed."""
-        h, f, c = _ham_parts(ham, self.n_modes)
-        out = c * self._embed({})
+        n2 = 2 * self.n_modes
+        if ham.h.shape != (n2, n2):
+            raise InputError(f"h must have shape {(n2, n2)}, got {ham.h.shape}")
+        h, f = ham.h, ham.f
+        out = ham.c * self._embed({})
         for i, (mi, oi) in enumerate(self._factors):
             for j, (mj, oj) in enumerate(self._factors):
                 if h[i, j] != 0.0:
@@ -111,7 +115,7 @@ class FockRep:
         return out
 
     def _evolution(self, ham):
-        key = _ham_key(ham, self.n_modes)
+        key = (ham.h.tobytes(), ham.f.tobytes(), ham.c)
         ev = self._evolutions.get(key)
         if ev is None:
             ev = _Evolution(self, ham)
@@ -120,65 +124,38 @@ class FockRep:
 
 
 class _Evolution:
-    """Time evolution e^{-i H t} applied to the vacuum, cached per Hamiltonian.
+    """Time evolution e^{-i H t} of a state, cached per Hamiltonian.
 
-    ``t`` is a time or a 1-D array of times; an array gives one state per
-    time, stacked along the first axis.  On a dense rep the Hamiltonian is
-    diagonalized once and every time costs one product; on a sparse one each
-    time is one Krylov exponentiation.
+    ``t`` is a time or a 1-D array of times; for an array, ``apply`` gives
+    one state per time, stacked along the first axis.  On a dense rep the
+    Hamiltonian is diagonalized once and every time costs one product; on a
+    sparse one each time is one Krylov exponentiation (``expm_multiply``).
     """
 
     def __init__(self, rep, ham):
         self.rep = rep
         self.matrix = rep.hamiltonian_matrix(ham)
-        self.dense = rep.dense
-        if self.dense:
-            w, v = np.linalg.eigh(self.matrix)
-            self._w = w
-            self._v = v
-            self._v0 = v.conj().T @ rep.vacuum
+        if rep.dense:
+            self._w, self._v = np.linalg.eigh(self.matrix)
 
-    def _phases(self, t):
-        return np.exp(-1j * self._w * np.asarray(t)[..., None])
+    def apply(self, t, vec):
+        """e^{-i H t} vec; for a 1-D ``t``, ``vec`` is one vector or one row per time."""
+        t = np.asarray(t)
+        if self.rep.dense:
+            phases = np.exp(-1j * self._w * t[..., None])
+            return _rows(self._v, phases * _rows(self._v.conj().T, vec))
+        import scipy.sparse.linalg
 
-    def state(self, t):
-        if self.dense:
-            return _rows(self._v, self._phases(t) * self._v0)
-        return _krylov(self.matrix, t, self.rep.vacuum)
+        vecs = np.broadcast_to(vec, t.shape + vec.shape[-1:])
+        out = np.empty(vecs.shape, dtype=complex)
+        for i in np.ndindex(t.shape):
+            out[i] = scipy.sparse.linalg.expm_multiply(-1j * t[i] * self.matrix, vecs[i])
+        return out
 
 
 def _rows(matrix, x):
     """``matrix @ x`` for a vector, or for each row of a stack of vectors."""
     return (matrix @ x.T).T
-
-
-def _krylov(matrix, t, vec):
-    """e^{-i H t} vec by Krylov exponentiation, one call per time of ``t`` (a
-    time or a 1-D array); ``vec`` is one vector or one row per time."""
-    import scipy.sparse.linalg
-
-    t = np.asarray(t)
-    vecs = np.broadcast_to(vec, t.shape + vec.shape[-1:])
-    out = np.empty(vecs.shape, dtype=complex)
-    for i in np.ndindex(t.shape):
-        out[i] = scipy.sparse.linalg.expm_multiply(-1j * t[i] * matrix, vecs[i])
-    return out
-
-
-def _ham_parts(ham, n_modes):
-    n2 = 2 * n_modes
-    h = np.asarray(ham.h, dtype=float)
-    if h.shape != (n2, n2):
-        raise InputError(f"h must have shape {(n2, n2)}, got {h.shape}")
-    f = np.zeros(n2) if ham.f is None else np.asarray(ham.f, dtype=float)
-    if f.shape != (n2,):
-        raise InputError(f"f must have shape {(n2,)}, got {f.shape}")
-    return h, f, float(ham.c)
-
-
-def _ham_key(ham, n_modes):
-    h, f, c = _ham_parts(ham, n_modes)
-    return (h.tobytes(), f.tobytes(), c)
 
 
 def build_fock(n_modes, n_max):
@@ -208,7 +185,7 @@ def _amplitude_error(amps, names=()):
 def vacuum_amplitude_gqh(ham, t, rep):
     """<0| e^{-i H t} |0> on the truncated space."""
     _require_boson(ham)
-    amp = complex(rep._evolution(ham).state(t)[..., 0])
+    amp = complex(rep._evolution(ham).apply(t, rep.vacuum)[..., 0])
     error = _amplitude_error([amp])
     if error is not None:
         raise error
@@ -227,19 +204,12 @@ def _excitation(rep, psi):
 
 def mean_excitation(ham, t, rep):
     """<n_total> of e^{-i H t}|0>; the truncation health indicator."""
-    return float(_excitation(rep, rep._evolution(ham).state(t)))
+    return float(_excitation(rep, rep._evolution(ham).apply(t, rep.vacuum)))
 
 
 def truncation_reliable(ham, t, rep):
     """True while the evolved state stays well inside the cutoff."""
     return mean_excitation(ham, t, rep) <= RELIABILITY_FRACTION * rep.n_max
-
-
-def _apply(evolution, t, vec):
-    """e^{-i H t} vec; for a 1-D ``t``, ``vec`` has one row per time."""
-    if evolution.dense:
-        return _rows(evolution._v, evolution._phases(t) * _rows(evolution._v.conj().T, vec))
-    return _krylov(evolution.matrix, t, vec)
 
 
 def _scalar(x):
@@ -271,8 +241,8 @@ class _PairOracle:
         for i in range(0, t.size, _TIME_BLOCK):
             # a block keeps the shape of ``t``: a 0-d time is a 0-d block
             tb = t.reshape(-1)[i:i + _TIME_BLOCK].reshape((-1,) * t.ndim)
-            psi1, psi2 = ev1.state(tb), ev2.state(tb)
-            states = (psi1, psi2, _apply(ev1, tb, psi2))
+            psi2 = ev2.apply(tb, self.rep.vacuum)
+            states = (ev1.apply(tb, self.rep.vacuum), psi2, ev1.apply(tb, psi2))
             values = [psi[..., 0] for psi in states]
             values += [_excitation(self.rep, psi) for psi in states]
             for column, value in zip(columns, values):

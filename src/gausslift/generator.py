@@ -44,7 +44,8 @@ class QuadraticHamiltonian:
     """Coefficients (h, f, c) of a general quadratic Hamiltonian.
 
     h is real symmetric for bosons and real antisymmetric for fermions;
-    the linear term f exists for bosons only.
+    the linear term f exists for bosons only and is stored as an array,
+    zero when not given.
     """
 
     h: np.ndarray
@@ -56,6 +57,14 @@ class QuadraticHamiltonian:
         h = np.asarray(self.h, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2:
             raise InputError(f"h must be square with even dimension, got {h.shape}")
+        f = np.zeros(h.shape[0]) if self.f is None else np.asarray(self.f, dtype=float)
+        if f.shape != (h.shape[0],):
+            raise InputError(f"f must have shape {(h.shape[0],)}, got {f.shape}")
+        if self.species is Species.FERMION and np.any(f):
+            raise InputError("fermions admit no linear term")
+        c = float(self.c)
+        if not (np.isfinite(h).all() and np.isfinite(f).all() and np.isfinite(c)):
+            raise InputError("h, f and c must be finite")
         scale = max(1.0, np.max(np.abs(h)))
         if self.species is Species.BOSON:
             if np.max(np.abs(h - h.T)) > 1e-12 * scale:
@@ -63,29 +72,14 @@ class QuadraticHamiltonian:
         else:
             if np.max(np.abs(h + h.T)) > 1e-12 * scale:
                 raise InputError("fermionic h must be antisymmetric")
-        f = self.f
-        if f is not None:
-            f = np.asarray(f, dtype=float)
-            if f.shape != (h.shape[0],):
-                raise InputError(f"f must have shape {(h.shape[0],)}, got {f.shape}")
-            if self.species is Species.FERMION and np.any(f):
-                raise InputError("fermions admit no linear term")
-        c = float(self.c)
-        if not (np.isfinite(h).all() and np.isfinite(c) and (f is None or np.isfinite(f).all())):
-            raise InputError("h, f and c must be finite")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "f", f)
         object.__setattr__(self, "c", c)
 
-    @property
-    def f_or_zero(self):
-        return np.zeros(self.h.shape[0]) if self.f is None else self.f
-
     def scaled(self, t):
         """Parameters of H t, so that e^{-i (Ht)} = e^{-i H t}."""
         return QuadraticHamiltonian(
-            h=self.h * t, f=None if self.f is None else self.f * t,
-            c=self.c * t, species=self.species,
+            h=self.h * t, f=self.f * t, c=self.c * t, species=self.species
         )
 
 
@@ -132,7 +126,7 @@ def _affine_exp(ham, k):
     no special case.
     """
     n2 = k.dim
-    b = k.omega @ ham.f_or_zero
+    b = k.omega @ ham.f
     x = np.zeros((n2 + 2, n2 + 2))
     x[0, 1:-1] = 0.5 * b @ k.omega_inv
     x[0, -1] = -ham.c

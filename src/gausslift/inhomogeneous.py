@@ -16,10 +16,10 @@ from .metaplectic import _eta_from_maps, mp_lift
 from .phase_space import (
     KahlerStructure,
     Species,
+    _check_lifted,
     delta_y_z,
     group_inverse,
     require_same_reference,
-    validate_group_element,
 )
 
 
@@ -47,18 +47,12 @@ class LiftedGaussian:
     k: KahlerStructure = field(repr=False)
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
+        m, psi = _check_lifted(self.m, self.psi, self.k, "Psi")
         z = np.asarray(self.z, dtype=float)
-        psi = complex(self.psi)
-        ok, residual = validate_group_element(m, self.k)
-        if not ok:
-            raise InputError(f"matrix is not a group element (residual {residual:.3g})")
         if z.shape != (self.k.dim,):
             raise InputError(f"z must have shape {(self.k.dim,)}, got {z.shape}")
         if not np.isfinite(z).all():
             raise InputError("z must be finite")
-        if not abs(abs(psi) - 1.0) <= 1e-10:  # also refuses a non-finite Psi
-            raise InputError(f"|Psi| = {abs(psi)} is not on the unit circle")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "psi", psi)

@@ -17,10 +17,10 @@ from .matfunc import complex_det, imag_trace_log, pfaffian
 from .phase_space import (
     KahlerStructure,
     Species,
+    _check_lifted,
     delta_y_z,
     require_same_reference,
     split_cd,
-    validate_group_element,
 )
 
 #: tolerance for the psi^2 = phi(M) membership check of a lifted element
@@ -36,13 +36,7 @@ class LiftedSymplectic:
     k: KahlerStructure
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        psi = complex(self.psi)
-        ok, residual = validate_group_element(m, self.k)
-        if not ok:
-            raise InputError(f"matrix is not a group element (residual {residual:.3g})")
-        if not abs(abs(psi) - 1.0) <= 1e-10:  # also refuses a non-finite psi
-            raise InputError(f"|psi| = {abs(psi)} is not on the unit circle")
+        m, psi = _check_lifted(self.m, self.psi, self.k, "psi")
         phi = circle_function(m, self.k)
         if abs(psi * psi - phi) > LIFT_PHASE_TOL:
             raise InputError(

@@ -94,13 +94,32 @@ GROUP_RESIDUAL_TOL = 1e-8
 
 
 def validate_group_element(m, k):
-    """Check M Lambda M^T = Lambda to ``GROUP_RESIDUAL_TOL``; returns (ok, residual)."""
+    """Check M Lambda M^T = Lambda to ``GROUP_RESIDUAL_TOL``; returns (ok, residual).
+
+    A matrix of the wrong shape or with a non-finite entry raises ``InputError``.
+    """
     m = np.asarray(m, dtype=float)
     if m.shape != (k.dim, k.dim):
         raise InputError(f"group element must have shape {(k.dim, k.dim)}, got {m.shape}")
+    if not np.isfinite(m).all():
+        raise InputError("group element must be finite")
     lam = k.fundamental_form
     residual = float(np.max(np.abs(m @ lam @ m.T - lam)))
     return residual <= GROUP_RESIDUAL_TOL, residual
+
+
+def _check_lifted(m, psi, k, name):
+    """(M, psi) of a lifted element as a float array and a complex, after the
+    one check both kinds of lifted element share: M is a group element, then
+    psi (called ``name`` in the message) has unit modulus."""
+    m = np.asarray(m, dtype=float)
+    psi = complex(psi)
+    ok, residual = validate_group_element(m, k)
+    if not ok:
+        raise InputError(f"matrix is not a group element (residual {residual:.3g})")
+    if not abs(abs(psi) - 1.0) <= 1e-10:  # also refuses a non-finite phase
+        raise InputError(f"|{name}| = {abs(psi)} is not on the unit circle")
+    return m, psi
 
 
 def group_inverse(m, k):

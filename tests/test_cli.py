@@ -38,6 +38,9 @@ FIG2_SWEEP_REF = Path(__file__).resolve().parents[1] / "bench" / "data" / "fig2_
 FIG2_RTOL = 1e-9
 FIG2_ATOL = 1e-12
 
+NAN, INF = float("nan"), float("inf")
+IDENTITY_ELEMENT_DOC = {"species": "boson", "N": 1, "elements": [{"M": [[1, 0], [0, 1]]}]}
+
 
 def write_doc(tmp_path, doc, name="input.json"):
     path = tmp_path / name
@@ -242,18 +245,65 @@ class TestErrorPaths:
                         "hamiltonians": [{"h": [[1, 0], [0, 1]], "c": float("inf")}]}),
             (["sweep-time"], {"species": "boson", "N": 1, "hamiltonians": [
                 {"h": [[1, 0], [0, 1]], "f": [float("nan"), 0]}, {"h": [[1, 0], [0, 1]]}]}),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"a": [NAN, 1, 3]}}),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"c": [0, INF, 3]}}),
+            (["sweep-grid", "--rho", "nan"], {"species": "boson", "N": 1}),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"rho": INF}}),
+            (["sweep-grid", "--tau", "inf"], {"species": "boson", "N": 1}),
+            (["sweep-grid", "--tau", "nandeg"], {"species": "boson", "N": 1}),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"tau": NAN}}),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"t_max": 1, "t_step": INF})),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"t_max": INF})),
+            (["compose"], {"species": "boson", "N": 1, "elements": [{"M": [[INF, 0], [0, 1]]}]}),
+            (["fermion"], {"species": "fermion", "N": 1, "M": [[INF, 0], [0, 1]]}),
+            (["lift"], {"species": "boson", "N": 1, "hamiltonians": [{"h": [[INF, 0], [0, 1]]}]}),
+            (["phase"], {"species": "boson", "N": 1, "hamiltonians": [{"h": [[1, INF], [INF, 1]]}]}),
+            (["fermion"], {"species": "fermion", "N": 1, "w": [INF, 0]}),
+            (["compose"], dict(IDENTITY_ELEMENT_DOC, N=1.5)),
+            (["compose"], dict(IDENTITY_ELEMENT_DOC, N=True)),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"a": [0, 1, 2.9]}}),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"c": [0, 1, False]}}),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"nmax": [20.7]})),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"nmax": [True]})),
         ],
         ids=["N-text", "nmax-flag-text", "t-text", "verify-two-cutoffs", "grid-axis-pair",
              "grid-axis-text", "tau-flag-text", "nmax-not-list", "t-max-text", "h-text",
              "c-text", "psi-text", "document-not-object", "time-not-object",
              "grid-not-object", "hamiltonian-not-object", "element-not-object",
              "tol-flag-nan", "tol-flag-negative", "tol-flag-zero", "t-flag-nan", "t-infinite",
-             "z-nan", "psi-nan", "f-nan", "c-infinite", "sweep-f-nan"],
+             "z-nan", "psi-nan", "f-nan", "c-infinite", "sweep-f-nan", "grid-a-nan",
+             "grid-c-infinite", "rho-flag-nan", "rho-infinite", "tau-flag-inf",
+             "tau-flag-nandeg", "tau-nan", "t-step-infinite", "t-max-infinite",
+             "compose-m-infinite", "fermion-m-infinite", "lift-h-infinite",
+             "phase-h-infinite", "fermion-w-infinite", "N-fraction", "N-boolean",
+             "grid-count-fraction", "grid-count-boolean", "nmax-fraction", "nmax-boolean"],
     )
     def test_malformed_value_exits_two(self, tmp_path, capsys, argv, doc):
         assert run(argv + ["--input", write_doc(tmp_path, doc)]) == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["code"] == "input"
+        err = capsys.readouterr().err
+        assert err.endswith("\n") and err.count("\n") == 1
+        assert json.loads(err)["error"]["code"] == "input"
+
+    @pytest.mark.parametrize(
+        "argv, doc, field",
+        [
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"a": [NAN, 1, 3]}}, "grid.a"),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"c": [0, INF, 3]}}, "grid.c"),
+            (["sweep-grid", "--rho", "nan"], {"species": "boson", "N": 1}, "rho"),
+            (["sweep-grid", "--tau", "inf"], {"species": "boson", "N": 1}, "tau"),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"t_max": 1, "t_step": INF}),
+             "time.t_step"),
+            (["compose"], dict(IDENTITY_ELEMENT_DOC, N=True), "N"),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"a": [0, 1, 2.9]}},
+             "grid.a point count"),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"nmax": [20.7]}), "n_max"),
+        ],
+        ids=["grid-a", "grid-c", "rho", "tau", "t-step", "N", "grid-count", "nmax"],
+    )
+    def test_malformed_field_is_named(self, tmp_path, capsys, argv, doc, field):
+        assert run(argv + ["--input", write_doc(tmp_path, doc)]) == 2
+        message = json.loads(capsys.readouterr().err)["error"]["message"]
+        assert message.startswith(f"{field} must be")
 
     def test_vanishing_sweep_amplitude_exits_three(self, tmp_path, capsys):
         # |<0|U1 U2|0>| = e^{-|z|^2/4} with |z| = 6 at t = 1: 2.3e-16
@@ -405,8 +455,7 @@ class TestSweepTime:
                 return func(*args)
             return wrapper
 
-        monkeypatch.setattr(fock._Evolution, "state", counted(fock._Evolution.state))
-        monkeypatch.setattr(fock, "_apply", counted(fock._apply))
+        monkeypatch.setattr(fock._Evolution, "apply", counted(fock._Evolution.apply))
         counts = []
         for t_max in (0.15, 10.0):  # 4 and 201 rows
             doc = dict(FIG2_STABLE_NO_T, time={"t_max": t_max, "t_step": 0.05})
@@ -528,6 +577,16 @@ class TestSweepGrid:
         out = json.loads(capsys.readouterr().out)
         assert out["tau"] == pytest.approx(np.pi / 4)
 
+    def test_radian_flag_matches_deg_suffix(self, tmp_path):
+        path = write_doc(tmp_path, self._doc())
+        outputs = []
+        for tau in ("45deg", "0.7853981633974483"):
+            out = tmp_path / "grid.csv"
+            assert run(["sweep-grid", "--input", path, "--rho", "1", "--tau", tau,
+                        "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestFermionCommand:
     def test_reports_reflection_and_pin_phase(self, tmp_path, capsys):
@@ -547,6 +606,18 @@ class TestFermionCommand:
         assert out["M_w_involution_residual"] < 1e-12
         assert out["pin"]["oracle_agreement"] < 1e-8
         assert out["amplitudes"][0]["squared_identity_residual"] < 1e-8
+
+    def test_reflection_vector_is_rescaled(self, tmp_path, capsys):
+        w = [1.0, 2.0, -0.5, 0.3]
+        doc = {"species": "fermion", "N": 2, "w": w}
+        assert run(["fermion", "--input", write_doc(tmp_path, doc)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        np.testing.assert_allclose(out["w"], np.array(w) * np.sqrt(2.0 / np.dot(w, w)),
+                                   rtol=1e-15)
+        assert np.dot(out["w"], out["w"]) == pytest.approx(2.0, abs=1e-14)
+        mw = np.array(out["M_w"])
+        np.testing.assert_allclose(mw, np.outer(out["w"], out["w"]) - np.eye(4), atol=0)
+        assert out["M_w_det"] == pytest.approx(-1.0, abs=1e-12)
 
     def test_boson_species_rejected(self, tmp_path):
         assert run(["fermion", "--input", write_doc(tmp_path, {"species": "boson", "N": 1})]) == 2

@@ -115,7 +115,7 @@ class TestCocycleRatioSign:
         a1 = _boson_amplitude(h1, 1.0)
         a2 = _boson_amplitude(h2, 1.0)
         ev1 = rep._evolution(QuadraticHamiltonian(h=h1))
-        st = rep._evolution(QuadraticHamiltonian(h=h2)).state(1.0)
+        st = rep._evolution(QuadraticHamiltonian(h=h2)).apply(1.0, rep.vacuum)
         a12 = np.vdot(rep.vacuum, ev1._v @ (np.exp(-1j * ev1._w) * (ev1._v.conj().T @ st)))
         m1 = mat_exp(k1.omega @ h1)
         m2 = mat_exp(k1.omega @ h2)

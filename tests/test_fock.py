@@ -17,11 +17,10 @@ from gausslift import (
     wrap_angle,
     zeta_numeric,
 )
-from gausslift.errors import PhaseUndefinedError, SizeGuardError
+from gausslift.errors import InputError, PhaseUndefinedError, SizeGuardError
 from gausslift.fock import (
     _TIME_BLOCK,
     RELIABILITY_FRACTION,
-    _apply,
     _number_expectation_from_parts,
     _PairOracle,
 )
@@ -102,8 +101,12 @@ class TestVacuumAmplitude:
         ham = QuadraticHamiltonian(h=FIG2_STABLE[0], f=FIG2_F)
         ev = rep._evolution(ham)
         for t in (0.5, 3.0, 10.0):
-            psi = ev.state(t)
+            psi = ev.apply(t, rep.vacuum)
             assert abs(np.linalg.norm(psi) - 1.0) < 1e-8
+
+    def test_hamiltonian_of_another_mode_count_rejected(self):
+        with pytest.raises(InputError, match="h must have shape"):
+            vacuum_amplitude_gqh(QuadraticHamiltonian(h=np.eye(4)), 1.0, build_fock(1, 5))
 
     def test_sparse_and_dense_paths_agree(self):
         ham = QuadraticHamiltonian(h=FIG2_STABLE[0], f=FIG2_F)
@@ -182,16 +185,16 @@ class TestPairOracle:
 
     @staticmethod
     def _separately(h1, h2, t, rep):
-        # each state from its own state(t) / _apply call, one quantity at a time
+        # each state from its own apply call, one quantity at a time
         ev1, ev2 = rep._evolution(h1), rep._evolution(h2)
         a1 = vacuum_amplitude_gqh(h1, t, rep)
         a2 = vacuum_amplitude_gqh(h2, t, rep)
-        a12 = complex(np.vdot(rep.vacuum, _apply(ev1, t, ev2.state(t))))
+        a12 = complex(np.vdot(rep.vacuum, ev1.apply(t, ev2.apply(t, rep.vacuum))))
         zeta = wrap_angle(np.angle(a1) + np.angle(a2) - np.angle(a12))
-        psi = _apply(ev1, t, ev2.state(t))
+        psi = ev1.apply(t, ev2.apply(t, rep.vacuum))
         number = float(np.real(np.vdot(psi, rep.number_op @ psi)))
         limit = RELIABILITY_FRACTION * rep.n_max
-        psi = _apply(ev1, t, ev2.state(t))
+        psi = ev1.apply(t, ev2.apply(t, rep.vacuum))
         reliable = (
             mean_excitation(h1, t, rep) <= limit
             and mean_excitation(h2, t, rep) <= limit
@@ -215,7 +218,7 @@ class TestPairOracle:
         rep = build_fock(2, 25)  # 676 states: expm_multiply, not the cached eigh
         hams = [random_gqh(rng, 2, h_scale=0.6) for _ in range(2)]
         oracle = _PairOracle(hams[0], hams[1], 0.8, rep)
-        assert not rep._evolution(hams[0]).dense
+        assert not rep.dense
         assert (oracle.zeta, oracle.number, oracle.reliable) == self._separately(
             hams[0], hams[1], 0.8, rep
         )
@@ -279,7 +282,7 @@ class TestPairOracleOverTimes:
     def test_matches_scalar_krylov(self, rng):
         rep = build_fock(2, 25)
         hams = [random_gqh(rng, 2, h_scale=0.6) for _ in range(2)]
-        assert not rep._evolution(hams[0]).dense
+        assert not rep.dense
         self._assert_matches_scalar(hams[0], hams[1], np.array([0.0, 0.8, 1.9]), rep)
 
     @pytest.mark.parametrize("t", [0.8, np.array([0.0, 0.8])], ids=["scalar", "array"])

@@ -49,12 +49,19 @@ class TestQuadraticHamiltonian:
         with pytest.raises(InputError):
             QuadraticHamiltonian(h=0.3 * ROT, f=np.array([1.0, 0.0]), species=Species.FERMION)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("field", ["h", "f", "c"])
-    def test_non_finite_coefficients_rejected(self, field):
+    def test_non_finite_coefficients_rejected(self, field, value):
+        # finiteness is tested before the symmetry test does any arithmetic
         parts = {"h": np.eye(2), "f": np.array([1.0, 0.0]), "c": 0.5}
-        parts[field] = parts[field] * np.nan
+        parts[field] = {"h": np.diag([value, 1.0]), "f": np.array([value, 0.0]), "c": value}[field]
         with pytest.raises(InputError, match="finite"):
             QuadraticHamiltonian(**parts)
+
+    def test_absent_linear_term_is_a_zero_array(self):
+        ham = QuadraticHamiltonian(h=np.eye(2))
+        np.testing.assert_array_equal(ham.f, np.zeros(2))
+        np.testing.assert_array_equal(ham.scaled(-2.0).f, np.zeros(2))
 
     def test_scaled(self):
         ham = QuadraticHamiltonian(h=np.eye(2), f=np.array([1.0, 2.0]), c=0.5)
@@ -100,7 +107,7 @@ class TestZFromHF:
         # e^{-i q} shifts p by -1: frozen from the canonical commutator
         rep = build_fock(1, 30)
         ham = QuadraticHamiltonian(h=np.zeros((2, 2)), f=np.array([1.0, 0.0]))
-        st = rep._evolution(ham).state(1.0)
+        st = rep._evolution(ham).apply(1.0, rep.vacuum)
         q, p = rep.quadratures
         assert np.real(np.vdot(st, p @ st)) == pytest.approx(-1.0, abs=1e-10)
 
@@ -117,7 +124,7 @@ class TestZFromHF:
     def test_fig2_oracle_displacement(self, k1):
         rep = build_fock(1, 80)
         ham = QuadraticHamiltonian(h=FIG2_STABLE[0], f=FIG2_F)
-        st = rep._evolution(ham).state(1.0)
+        st = rep._evolution(ham).apply(1.0, rep.vacuum)
         q, p = rep.quadratures
         oracle = np.array(
             [np.real(np.vdot(st, q @ st)), np.real(np.vdot(st, p @ st))]
@@ -401,7 +408,7 @@ class TestLiftFromGQH:
             prod = ig_multiply(lift_from_gqh(h1, k1), lift_from_gqh(h2, k1))
             ev1 = rep._evolution(h1)
             st = ev1._v @ (np.exp(-1j * ev1._w) * (ev1._v.conj().T
-                                                   @ rep._evolution(h2).state(1.0)))
+                                                   @ rep._evolution(h2).apply(1.0, rep.vacuum)))
             amp12 = np.vdot(rep.vacuum, st)
             m_oracle = mat_exp(k1.omega @ h1.h) @ mat_exp(k1.omega @ h2.h)
             z_oracle = np.array(

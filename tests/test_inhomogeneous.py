@@ -287,6 +287,23 @@ class TestDecomposeInverse:
         assert inv.psi == np.conj(psi)
 
 
+class TestLiftedElementCheck:
+    """``LiftedGaussian`` and ``LiftedSymplectic`` refuse the same matrices."""
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [(np.diag([2.0, 2.0]), r"not a group element \(residual 3\)"),
+         (np.diag([np.inf, 1.0]), "group element must be finite"),
+         (np.eye(4), "group element must have shape")],
+        ids=["not-symplectic", "infinite", "wrong-shape"],
+    )
+    def test_non_group_matrix_rejected(self, k1, m, message):
+        with pytest.raises(InputError, match=message):
+            LiftedGaussian(m=m, z=np.zeros(2), psi=1.0, k=k1)
+        with pytest.raises(InputError, match=message):
+            metaplectic.LiftedSymplectic(m=m, psi=1.0, k=k1)
+
+
 class TestSameReference:
     def test_separately_built_structures_compose(self, rng):
         ka, kb = standard_kahler(2), standard_kahler(2)

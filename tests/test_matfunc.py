@@ -51,6 +51,15 @@ class TestMatExp:
         with pytest.raises(MatrixOverflowError):
             mat_exp(np.diag([1e6, 1e6]))
 
+    @pytest.mark.parametrize(
+        "a",
+        [np.ones((2, 3)), np.ones(2), np.array([[0.0, np.nan], [0.0, 0.0]]), np.array([[np.inf]])],
+        ids=["non-square", "vector", "nan", "infinite"],
+    )
+    def test_non_square_or_non_finite_rejected(self, a):
+        with pytest.raises(InvalidStructureError):
+            mat_exp(a)
+
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(small_matrices(3))
     def test_inverse_pairing(self, a):
