@@ -49,14 +49,21 @@ class TestQuadraticHamiltonian:
         with pytest.raises(InputError):
             QuadraticHamiltonian(h=0.3 * ROT, f=np.array([1.0, 0.0]), species=Species.FERMION)
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
-    @pytest.mark.parametrize("field", ["h", "f", "c"])
-    def test_non_finite_coefficients_rejected(self, field, value):
+    @staticmethod
+    def _assert_rejected(field, value):
         # finiteness is tested before the symmetry test does any arithmetic
         parts = {"h": np.eye(2), "f": np.array([1.0, 0.0]), "c": 0.5}
         parts[field] = {"h": np.diag([value, 1.0]), "f": np.array([value, 0.0]), "c": value}[field]
         with pytest.raises(InputError, match="finite"):
             QuadraticHamiltonian(**parts)
+
+    @pytest.mark.parametrize("field", ["h", "f", "c"])
+    def test_non_finite_coefficients_rejected(self, field):
+        self._assert_rejected(field, np.nan)
+
+    @pytest.mark.parametrize("field", ["h", "f", "c"])
+    def test_infinite_coefficients_rejected(self, field):
+        self._assert_rejected(field, np.inf)
 
     def test_absent_linear_term_is_a_zero_array(self):
         ham = QuadraticHamiltonian(h=np.eye(2))
