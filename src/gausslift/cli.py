@@ -34,6 +34,10 @@ from .phase_space import Species, split_cd, standard_kahler, validate_group_elem
 
 _FLOAT_FMT = "%.17g"
 
+#: largest N (every command builds its structure from N before it reads a
+#: matrix) and largest sweep row count (``sweep-time`` times, ``sweep-grid`` points)
+_MAX_MODES, _MAX_ROWS = 64, 100_000
+
 
 def _fmt(x):
     return _FLOAT_FMT % float(x)
@@ -106,7 +110,10 @@ def _parse_float(value, name):
 
 
 def _parse_modes(doc):
-    return _parse_int(_require(doc, "N"), "N")
+    n_modes = _parse_int(_require(doc, "N"), "N")
+    if n_modes > _MAX_MODES:
+        raise InputError(f"N must be at most {_MAX_MODES}, got {n_modes}")
+    return n_modes
 
 
 def _parse_species(doc):
@@ -200,7 +207,7 @@ def _parse_nmax_list(value, default):
 
 
 def _parse_grid_axis(spec, key):
-    """np.linspace of the grid's [min, max, num] triple for axis ``key``."""
+    """The grid's (min, max, num) triple for axis ``key``."""
     triple = spec.get(key, [-2.0, 2.0, 9])
     if not isinstance(triple, list) or len(triple) != 3:
         raise InputError(f"grid.{key} must be a [min, max, num] triple")
@@ -208,7 +215,7 @@ def _parse_grid_axis(spec, key):
     num = _parse_int(triple[2], f"{name} point count")
     if num < 0:
         raise InputError(f"{name} needs a non-negative point count")
-    return np.linspace(_parse_float(triple[0], name), _parse_float(triple[1], name), num)
+    return _parse_float(triple[0], name), _parse_float(triple[1], name), num
 
 
 def _write_output(text, out_path):
@@ -240,8 +247,8 @@ def _analytic_pair(h1, h2, t, k):
     a non-finite value is a numerical-domain error.  Overflow on the way to it
     is silenced, so that the error stays the only output on stderr."""
     with np.errstate(over="ignore", invalid="ignore"):
-        _, z1, m1 = _affine_exp(h1.scaled(t), k)
-        _, z2, m2 = _affine_exp(h2.scaled(t), k)
+        _, z1, m1 = _affine_exp(h1, k, t)
+        _, z2, m2 = _affine_exp(h2, k, t)
         zeta = wrap_angle(zeta_cocycle(m1, z1, m2, z2, k))
         number = _number_expectation_from_parts(m1, m2, z1, z2, k)
     if not (np.isfinite(zeta) and np.isfinite(number)):
@@ -368,10 +375,12 @@ def _cmd_sweep_time(args):
     t_step = _parse_float(spec.get("t_step", 0.05), "time.t_step")
     if not (t_step > 0 and t_max >= 0):
         raise InputError("time grid needs t_step > 0 and a finite t_max >= 0")
+    ratio = t_max / t_step  # rows - 1; inf if the quotient overflows
+    if not ratio < _MAX_ROWS - 0.5:
+        raise InputError(f"time.t_step must give at most {_MAX_ROWS} rows, got {ratio + 1:.6g}")
     nmax_list = _parse_nmax_list(args.nmax, spec.get("nmax", [80]))
     reps = {n: build_fock(k.n_modes, n) for n in nmax_list}
-    steps = int(round(t_max / t_step))
-    ts = [i * t_step for i in range(steps + 1)]
+    ts = [i * t_step for i in range(int(round(ratio)) + 1)]
 
     header = ["t", "zeta_analytic"]
     header += [f"zeta_numeric_nmax{n}" for n in nmax_list]
@@ -416,8 +425,12 @@ def _cmd_sweep_grid(args):
     if k.n_modes != 1:
         raise InputError("the (a, c) grid sweep is a single-mode study")
     spec = _object(doc.get("grid", {}), "grid")
-    a_vals = _parse_grid_axis(spec, "a")
-    c_vals = _parse_grid_axis(spec, "c")
+    a_axis = _parse_grid_axis(spec, "a")
+    c_axis = _parse_grid_axis(spec, "c")
+    if a_axis[2] * c_axis[2] > _MAX_ROWS:
+        raise InputError(f"grid.a and grid.c must give at most {_MAX_ROWS} points, "
+                         f"got {a_axis[2]} x {c_axis[2]}")
+    a_vals, c_vals = np.linspace(*a_axis), np.linspace(*c_axis)
     rho = _parse_float(spec.get("rho", 0.0) if args.rho is None else args.rho, "rho")
     if args.tau is None:
         tau = _parse_float(spec.get("tau", 0.0), "tau")

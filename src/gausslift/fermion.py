@@ -12,7 +12,7 @@ import numpy as np
 from .errors import InputError, InvalidStructureError, NumericalDomainError
 from .generator import vacuum_phase_tracked
 from .matfunc import mat_exp
-from .phase_space import GROUP_RESIDUAL_TOL, Species, validate_group_element
+from .phase_space import GROUP_RESIDUAL_TOL, Species, _shaped, validate_group_element
 
 #: tolerance on the w G w = 2 normalization of a reflection vector
 REFLECTION_NORM_TOL = 1e-12
@@ -21,11 +21,11 @@ REFLECTION_NORM_TOL = 1e-12
 SO_GENERATOR_TOL = 1e-10
 
 
-def _reflection_array(w):
-    """``w`` as a float array, refused unless it is a finite 1-d array."""
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or not np.all(np.isfinite(w)):
-        raise InputError("reflection vector must be a finite 1-d array")
+def _reflection_array(w, k):
+    """``w`` as a float array, refused unless it is a finite vector of length 2N."""
+    w = _shaped(w, (k.dim,), "reflection vector")
+    if not np.all(np.isfinite(w)):
+        raise InputError("reflection vector must be finite")
     return w
 
 
@@ -38,7 +38,7 @@ def reference_reflection(k):
 
 def normalize_reflection(w, k):
     """Rescale the reflection vector w to satisfy w G w = 2."""
-    w = _reflection_array(w)
+    w = _reflection_array(w, k)
     norm = float(w @ k.metric @ w)
     if norm <= 0.0:
         raise InputError("reflection vector must have positive metric norm")
@@ -50,7 +50,7 @@ def mw_reflection(w, k):
     orthogonal, det = -1, involutive."""
     if k.species is not Species.FERMION:
         raise InputError("reflections belong to the fermionic component")
-    w = _reflection_array(w)
+    w = _reflection_array(w, k)
     if not np.any(w):
         raise InputError("zero vector generates no reflection")
     norm = float(w @ k.metric @ w)
@@ -170,10 +170,8 @@ class MajoranaRep:
 
     def quadratic_operator(self, h):
         """K-hat = (1/2) h_ab xi^a xi^b for antisymmetric h."""
-        h = np.asarray(h, dtype=float)
         n2 = 2 * self.n_modes
-        if h.shape != (n2, n2):
-            raise InputError(f"h must have shape {(n2, n2)}, got {h.shape}")
+        h = _shaped(h, (n2, n2), "h")
         if np.max(np.abs(h + h.T)) > 1e-12 * max(1.0, np.max(np.abs(h))):
             raise InputError("fermionic h must be antisymmetric")
         out = np.zeros((self.dim, self.dim), dtype=complex)
@@ -197,11 +195,7 @@ def build_majorana(n_modes):
     return MajoranaRep(n_modes)
 
 
-def fermion_vacuum_amplitude(h, rep=None):
-    """<J| e^{K-hat} |J> in the 2^N representation, K-hat = h_ab xi^a xi^b / 2."""
-    h = np.asarray(h, dtype=float)
-    n_modes = h.shape[0] // 2
-    if rep is None:
-        rep = build_majorana(n_modes)
+def fermion_vacuum_amplitude(h, rep):
+    """<J| e^{K-hat} |J> in the 2^N representation ``rep``, K-hat = h_ab xi^a xi^b / 2."""
     op = mat_exp(rep.quadratic_operator(h))
     return complex(np.vdot(rep.vacuum, op @ rep.vacuum))

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InputError, NumericalDomainError, PhaseUndefinedError, SizeGuardError
 from .matfunc import wrap_angle
-from .phase_space import Species
+from .phase_space import Species, _shaped
 
 #: hard guard on the truncated dimension (n_max + 1)^N
 DENSE_GUARD = 4096
@@ -100,10 +100,7 @@ class FockRep:
 
         Each xi^a xi^b is multiplied out on its one or two modes and then
         embedded, so no product of two full-size matrices is formed."""
-        n2 = 2 * self.n_modes
-        if ham.h.shape != (n2, n2):
-            raise InputError(f"h must have shape {(n2, n2)}, got {ham.h.shape}")
-        h, f = ham.h, ham.f
+        h, f = _shaped(ham.h, (2 * self.n_modes,) * 2, "h"), ham.f
         out = ham.c * self._embed({})
         for i, (mi, oi) in enumerate(self._factors):
             for j, (mj, oj) in enumerate(self._factors):
@@ -311,8 +308,8 @@ def number_expectation_analytic(ham1, ham2, t, k):
     """
     from .generator import _affine_exp
 
-    _, z1, m1 = _affine_exp(ham1.scaled(t), k)
-    _, z2, m2 = _affine_exp(ham2.scaled(t), k)
+    _, z1, m1 = _affine_exp(ham1, k, t)
+    _, z2, m2 = _affine_exp(ham2, k, t)
     return _number_expectation_from_parts(m1, m2, z1, z2, k)
 
 

@@ -29,7 +29,7 @@ from .errors import (
 from .matfunc import complex_det, imag_trace_log, mat_exp, mat_sqrt_principal
 from .metaplectic import LiftedSymplectic, cocycle_eta, mp_multiply
 from .inhomogeneous import _gamma, ig_from_parts
-from .phase_space import Species, delta_y_z, split_cd
+from .phase_space import Species, _shaped, delta_y_z, split_cd
 
 #: spectral radius below which beta is evaluated (by its odd power series,
 #: whose poles sit at 2 pi i k) and beyond which it raises
@@ -57,9 +57,7 @@ class QuadraticHamiltonian:
         h = np.asarray(self.h, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2:
             raise InputError(f"h must be square with even dimension, got {h.shape}")
-        f = np.zeros(h.shape[0]) if self.f is None else np.asarray(self.f, dtype=float)
-        if f.shape != (h.shape[0],):
-            raise InputError(f"f must have shape {(h.shape[0],)}, got {f.shape}")
+        f = np.zeros(h.shape[0]) if self.f is None else _shaped(self.f, (h.shape[0],), "f")
         if self.species is Species.FERMION and np.any(f):
             raise InputError("fermions admit no linear term")
         c = float(self.c)
@@ -115,22 +113,23 @@ def _beta_function(kmat):
     return kmat @ acc
 
 
-def _affine_exp(ham, k):
-    """(theta, z, M) with e^{-iH} = e^{i theta} D(z) S(M), from one exponential.
+def _affine_exp(ham, k, t=1.0):
+    """(theta, z, M) with e^{-iHt} = e^{i theta} D(z) S(M), from one exponential.
 
     The law (theta1 + theta2 + omega(z1, M1 z2)/2, z1 + M1 z2, M1 M2) is the
     product of the matrices [[1, z^T Omega^{-1} M / 2, theta], [0, M, z],
-    [0, 0, 1]], and e^{-iH} is the exponential of
-    X = [[0, b^T Omega^{-1} / 2, -c], [0, K, b], [0, 0, 0]] with K = Omega h
-    and b = Omega f.  The blocks of e^X are entire in K, so singular h needs
-    no special case.
+    [0, 0, 1]], and e^{-iHt} is the exponential of
+    X = [[0, b^T Omega^{-1} / 2, -c t], [0, K, b], [0, 0, 0]] with
+    K = Omega (h t) and b = Omega (f t), scaled as by ``ham.scaled(t)``, whose
+    blocks they equal bit for bit.  The blocks of e^X are entire in K, so
+    singular h needs no special case.
     """
     n2 = k.dim
-    b = k.omega @ ham.f
+    b = k.omega @ (ham.f * t)
     x = np.zeros((n2 + 2, n2 + 2))
     x[0, 1:-1] = 0.5 * b @ k.omega_inv
-    x[0, -1] = -ham.c
-    x[1:-1, 1:-1] = k.omega @ ham.h
+    x[0, -1] = -(ham.c * t)
+    x[1:-1, 1:-1] = k.omega @ (ham.h * t)
     x[1:-1, -1] = b
     e = mat_exp(x)
     return float(e[0, -1]), e[1:-1, -1], e[1:-1, 1:-1]
@@ -178,7 +177,7 @@ def vacuum_phase_tracked(kgen, k):
     tracking along t -> e^{tK} from +1 at t = 0 defines, which squaring
     reaches exactly without a grid.
     """
-    kgen = np.asarray(kgen, dtype=float)
+    kgen = _shaped(kgen, (k.dim, k.dim), "generator")
     if not kgen.any():
         return 1.0 + 0.0j
     lifted = _squared_lift(kgen, k)
@@ -253,6 +252,7 @@ def _lift_parts(ham, k):
     """
     if ham.species is not Species.BOSON or k.species is not Species.BOSON:
         raise InputError("generator lifting covers bosons")
+    _shaped(ham.h, (k.dim, k.dim), "h")
     lifted = _squared_lift(k.omega @ ham.h, k)
     theta, z, _ = _affine_exp(ham, k)
     return theta, z, lifted

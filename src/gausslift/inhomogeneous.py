@@ -17,6 +17,7 @@ from .phase_space import (
     KahlerStructure,
     Species,
     _check_lifted,
+    _shaped,
     delta_y_z,
     group_inverse,
     require_same_reference,
@@ -48,21 +49,12 @@ class LiftedGaussian:
 
     def __post_init__(self):
         m, psi = _check_lifted(self.m, self.psi, self.k, "Psi")
-        z = np.asarray(self.z, dtype=float)
-        if z.shape != (self.k.dim,):
-            raise InputError(f"z must have shape {(self.k.dim,)}, got {z.shape}")
+        z = _shaped(self.z, (self.k.dim,), "z")
         if not np.isfinite(z).all():
             raise InputError("z must be finite")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "psi", psi)
-
-    def is_identity(self):
-        return (
-            np.array_equal(self.m, np.eye(self.k.dim))
-            and not np.any(self.z)
-            and self.psi == 1.0
-        )
 
 
 def ig_identity(k):
@@ -94,7 +86,7 @@ def displacement_to_gaussian(d, k):
 def gamma_phase(m, z, k):
     """Displaced-squeezing phase omega(z, Y_M z) / 4, with Y_M from ``delta_y_z``;
     a zero z forms no map."""
-    z = np.asarray(z, dtype=float)
+    z = _shaped(z, (k.dim,), "z")
     return _gamma(delta_y_z(m, k).y, z, k) if np.any(z) else 0.0
 
 
@@ -115,8 +107,8 @@ def zeta_cocycle(m1, z1, m2, z2, k):
     """
     m1 = np.asarray(m1, dtype=float)
     m2 = np.asarray(m2, dtype=float)
-    z1 = np.asarray(z1, dtype=float)
-    z2 = np.asarray(z2, dtype=float)
+    z1 = _shaped(z1, (k.dim,), "z1")
+    z2 = _shaped(z2, (k.dim,), "z2")
     maps1 = delta_y_z(m1, k)
     y2 = delta_y_z(m2, k).y
     m1z2 = m1 @ z2
@@ -133,10 +125,6 @@ def ig_multiply(a, b):
     """(M1, z1, Psi1)(M2, z2, Psi2) = (M1 M2, z1 + M1 z2, Psi1 Psi2 e^{i zeta})."""
     k = a.k
     require_same_reference(a, b)
-    if a.is_identity():
-        return b
-    if b.is_identity():
-        return a
     zeta = zeta_cocycle(a.m, a.z, b.m, b.z, k)
     return LiftedGaussian(
         m=a.m @ b.m,

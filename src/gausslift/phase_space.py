@@ -89,6 +89,16 @@ def require_same_reference(a, b):
         raise InputError("operands carry different Kähler references")
 
 
+def _shaped(a, shape, name):
+    """``a`` as a float array, refused with ``InputError`` (naming it ``name``)
+    unless it has ``shape``: the one shape check of every operand that meets a
+    structure."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape:
+        raise InputError(f"{name} must have shape {shape}, got {a.shape}")
+    return a
+
+
 #: largest max-abs residual of M Lambda M^T - Lambda accepted for a group element
 GROUP_RESIDUAL_TOL = 1e-8
 
@@ -98,9 +108,7 @@ def validate_group_element(m, k):
 
     A matrix of the wrong shape or with a non-finite entry raises ``InputError``.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (k.dim, k.dim):
-        raise InputError(f"group element must have shape {(k.dim, k.dim)}, got {m.shape}")
+    m = _shaped(m, (k.dim, k.dim), "group element")
     if not np.isfinite(m).all():
         raise InputError("group element must be finite")
     lam = k.fundamental_form
@@ -147,10 +155,9 @@ def delta_y_z(m, k):
     C_{M^{-1}} = C^T and D_{M^{-1}} = -D^T (bosons) or +D^T (fermions) at the
     standard structure.  One test covers both maps, as C^T has the singular
     values of C: a numerically singular C, or one whose SVD does not converge,
-    raises ``NumericalDomainError``.
+    raises ``NumericalDomainError``; a matrix of the wrong shape, ``InputError``.
     """
-    m = np.asarray(m, dtype=float)
-    c, d = split_cd(m, k)
+    c, d = split_cd(_shaped(m, (k.dim, k.dim), "group element"), k)
     try:
         sv = np.linalg.svd(c, compute_uv=False)
     except np.linalg.LinAlgError as exc:

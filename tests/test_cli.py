@@ -305,6 +305,43 @@ class TestErrorPaths:
         message = json.loads(capsys.readouterr().err)["error"]["message"]
         assert message.startswith(f"{field} must be")
 
+    @pytest.mark.parametrize(
+        "argv, doc, message",
+        [
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"t_max": 10, "t_step": 1e-320}),
+             "time.t_step must give at most 100000 rows, got inf"),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"t_max": 10, "t_step": 1e-9}),
+             "time.t_step must give at most 100000 rows, got 1e+10"),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"t_max": 100000, "t_step": 1}),
+             "time.t_step must give at most 100000 rows, got 100001"),
+            (["sweep-time", "--nmax", "0"],
+             dict(FIG2_STABLE_DOC, time={"t_max": 99999, "t_step": 1}),
+             "need at least one mode and a positive cutoff"),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"a": [0, 1, 10 ** 12]}},
+             "grid.a and grid.c must give at most 100000 points, got 1000000000000 x 9"),
+            (["sweep-grid"],
+             {"species": "boson", "N": 1, "grid": {"a": [0, 1, 1000], "c": [0, 1, 101]}},
+             "grid.a and grid.c must give at most 100000 points, got 1000 x 101"),
+            (["sweep-grid", "--rho", "nan"],
+             {"species": "boson", "N": 1, "grid": {"a": [0, 1, 100000], "c": [0, 1, 1]}},
+             "rho must be finite, got nan"),
+            (["compose"], dict(IDENTITY_ELEMENT_DOC, N=10 ** 9),
+             "N must be at most 64, got 1000000000"),
+            (["compose"], dict(IDENTITY_ELEMENT_DOC, N=65), "N must be at most 64, got 65"),
+            (["compose"], {"species": "boson", "N": 64, "elements": []},
+             "compose needs at least one element"),
+        ],
+        ids=["t-step-underflow", "t-step-tiny", "rows-above-limit", "rows-at-limit",
+             "grid-axis-huge", "grid-points-above-limit", "grid-points-at-limit", "N-huge",
+             "N-above-limit", "N-at-limit"],
+    )
+    def test_input_size_is_bounded_at_parse(self, tmp_path, capsys, argv, doc, message):
+        # a refusal names the field before anything of that size is built;
+        # at a limit, parsing goes on to the next check
+        assert run(argv + ["--input", write_doc(tmp_path, doc)]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"code": "input", "message": message}
+
     def test_vanishing_sweep_amplitude_exits_three(self, tmp_path, capsys):
         # |<0|U1 U2|0>| = e^{-|z|^2/4} with |z| = 6 at t = 1: 2.3e-16
         ham = {"h": [[0, 0], [0, 0]], "f": [6, 0]}
@@ -464,6 +501,24 @@ class TestSweepTime:
                         "--out", str(tmp_path / "sweep.csv")]) == 0
             counts.append(len(calls))
         assert counts == [9, 9]
+
+    def test_one_hamiltonian_per_document_entry(self, tmp_path, monkeypatch):
+        # the analytic columns take the row time as an argument: a Fig. 2
+        # sweep builds the two Hamiltonians it parsed and no other
+        from gausslift.generator import QuadraticHamiltonian
+
+        built = []
+        post_init = QuadraticHamiltonian.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(QuadraticHamiltonian, "__post_init__", counted)
+        doc = dict(FIG2_STABLE_NO_T, time={"t_max": 10.0, "t_step": 0.05})
+        assert run(["sweep-time", "--input", write_doc(tmp_path, doc), "--nmax", "20,40,80",
+                    "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert len(built) == 2
 
     def test_json_rows_match_csv(self, tmp_path, capsys):
         doc = write_doc(tmp_path, self._doc())

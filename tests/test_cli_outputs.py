@@ -45,20 +45,19 @@ CASES = [
     ("phase-fig2", ["phase"], "fig2_stable.json", 0),
     ("phase-two-mode", ["phase"], "two_mode_pair.json", 0),
     ("compose-two-mode-lift", ["compose"], "expected/lift-two-mode.out", 0),
-    ("sweep-grid-default", ["sweep-grid"], None, 0),
-    ("sweep-grid-rho1-tau45deg", ["sweep-grid", "--rho", "1", "--tau", "45deg"], None, 0),
-    ("sweep-grid-rho0.7-tau30deg", ["sweep-grid", "--rho", "0.7", "--tau", "30deg"], None, 0),
+    ("sweep-grid-default", ["sweep-grid"], "grid_single_mode.json", 0),
+    ("sweep-grid-rho1-tau45deg", ["sweep-grid", "--rho", "1", "--tau", "45deg"],
+     "grid_single_mode.json", 0),
+    ("sweep-grid-rho0.7-tau30deg", ["sweep-grid", "--rho", "0.7", "--tau", "30deg"],
+     "grid_single_mode.json", 0),
     ("fermion-m-w-hamiltonians", ["fermion"], "fermion_m_w_hamiltonians.json", 0),
     ("fermion-det-minus-one", ["fermion"], "fermion_det_minus_one.json", 0),
 ]
 
-#: the single-mode boson document that ``sweep-grid`` reads its defaults from
-GRID_DOC = "grid_single_mode.json"
-
 
 def _run(argv, source):
     """(exit code, stdout, stderr) of the CLI on ``argv`` with input ``source``."""
-    argv = argv + ["--input", str(DATA / (source or GRID_DOC))]
+    argv = argv + ["--input", str(DATA / source)]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)

@@ -68,7 +68,7 @@ class TestFermionSquareLaw:
     def test_rotation_panel(self, kf1):
         for t in (0.4, np.pi, 2 * np.pi):
             h = t * np.array([[0.0, 1.0], [-1.0, 0.0]])
-            amp = fermion_vacuum_amplitude(h)
+            amp = fermion_vacuum_amplitude(h, build_majorana(1))
             assert amp == pytest.approx(np.exp(0.5j * t), abs=1e-12)
             c, _ = split_cd(mat_exp(h), kf1)
             assert amp**2 == pytest.approx(complex_det(c), abs=1e-10)

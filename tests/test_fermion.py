@@ -83,10 +83,12 @@ class TestSoGenerator:
 
 class TestVacuumAmplitude:
     def test_zero_generator(self):
-        assert fermion_vacuum_amplitude(np.zeros((2, 2))) == pytest.approx(1.0)
+        amp = fermion_vacuum_amplitude(np.zeros((2, 2)), build_majorana(1))
+        assert amp == pytest.approx(1.0)
 
     def test_full_turn_gives_minus_one(self):
-        assert fermion_vacuum_amplitude(2 * np.pi * ROT) == pytest.approx(-1.0, abs=1e-12)
+        amp = fermion_vacuum_amplitude(2 * np.pi * ROT, build_majorana(1))
+        assert amp == pytest.approx(-1.0, abs=1e-12)
 
     def test_squared_amplitude_identity(self, rng, kf2):
         rep = build_majorana(2)
@@ -184,7 +186,7 @@ class TestVacuumPhaseVsOracle:
     @pytest.mark.parametrize("theta", [np.pi + 1e-4, 1.5 * np.pi], ids=["past-pi", "3pi/2"])
     def test_rotation_past_a_zero_of_det_c(self, kf2, theta):
         h = q_plane_rotation(theta)
-        amp = fermion_vacuum_amplitude(h)
+        amp = fermion_vacuum_amplitude(h, build_majorana(2))
         phase = vacuum_phase_tracked(h, kf2)
         assert phase == pytest.approx(amp / abs(amp), abs=1e-10)
 
@@ -192,8 +194,9 @@ class TestVacuumPhaseVsOracle:
     def test_zeta_cocycle_of_half_rotations(self, kf2, theta):
         # the inhomogeneous cocycle at z = 0 carries the Pfaffian-rooted eta
         m = mat_exp(q_plane_rotation(theta / 2))
-        amp = fermion_vacuum_amplitude(q_plane_rotation(theta))
-        half = fermion_vacuum_amplitude(q_plane_rotation(theta / 2))
+        rep = build_majorana(2)
+        amp = fermion_vacuum_amplitude(q_plane_rotation(theta), rep)
+        half = fermion_vacuum_amplitude(q_plane_rotation(theta / 2), rep)
         zeta = zeta_cocycle(m, np.zeros(4), m, np.zeros(4), kf2)
         assert wrap_angle(zeta - np.angle(amp / half ** 2)) == pytest.approx(0.0, abs=1e-10)
 

@@ -200,6 +200,27 @@ class TestAffineExp:
             assert theta2 == pytest.approx(expected, abs=1e-12 * scale * max(1.0, abs(expected)))
 
 
+    @pytest.mark.parametrize("n_modes", [1, 2])
+    def test_time_argument_matches_scaled_hamiltonian(self, rng, n_modes):
+        # _affine_exp(H, k, t) is _affine_exp(H t, k) bit for bit, so a time
+        # sweep needs no Hamiltonian per row: the Fig. 2 pair on the Fig. 2
+        # grid (t = 0 included) at N = 1, a random H at N = 2
+        k = standard_kahler(n_modes)
+        if n_modes == 1:
+            hams = [QuadraticHamiltonian(h=h, f=FIG2_F) for h in FIG2_STABLE]
+            times = [i * 0.05 for i in range(201)]
+        else:
+            hams = [QuadraticHamiltonian(h=random_symmetric(rng, 4), f=rng.standard_normal(4),
+                                         c=0.3)]
+            times = [0.0, 0.05, 0.5, 1.0, -1.3, 2.5, 10.0]
+        for ham in hams:
+            for t in times:
+                theta, z, m = _affine_exp(ham, k, t)
+                theta_ref, z_ref, m_ref = _affine_exp(ham.scaled(t), k)
+                assert np.float64(theta).tobytes() == np.float64(theta_ref).tobytes()
+                assert z.tobytes() == z_ref.tobytes() and m.tobytes() == m_ref.tobytes()
+
+
 class TestSigmaMap:
     def test_zero_generator(self, k1):
         np.testing.assert_allclose(sigma_map(np.zeros((2, 2)), k1), np.zeros((2, 2)), atol=1e-14)

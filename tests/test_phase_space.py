@@ -2,16 +2,24 @@ import numpy as np
 import pytest
 
 from gausslift import (
+    QuadraticHamiltonian,
     Species,
     cocycle_eta,
     delta_y_z,
+    gamma_phase,
+    gqh_overlap_analytic,
+    lift_from_gqh,
     mat_exp,
+    mw_reflection,
     random_group_element,
     split_cd,
     standard_kahler,
+    vacuum_phase_tracked,
     validate_group_element,
+    zeta_cocycle,
 )
 from gausslift.errors import InputError, NumericalDomainError
+from gausslift.fermion import normalize_reflection
 from gausslift.phase_space import KahlerStructure, group_inverse
 
 
@@ -183,6 +191,43 @@ class TestDeltaYZ:
         # an overflowed evolution: the SVD of C does not converge
         with pytest.raises(NumericalDomainError, match="SVD did not converge"):
             delta_y_z(np.array([[np.inf, 0.0], [0.0, 1.0]]), k1)
+
+
+_K2, _KF2 = standard_kahler(2), standard_kahler(2, Species.FERMION)
+_ONE_MODE_H = QuadraticHamiltonian(h=np.eye(2), f=np.array([0.5, 0.5]))
+
+
+class TestOperandShape:
+    """Every entry point that meets an operand with a structure refuses a
+    mismatched shape with ``InputError``, naming the operand and both shapes."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: lift_from_gqh(_ONE_MODE_H, _K2), "h must have shape (4, 4), got (2, 2)"),
+            (lambda: gqh_overlap_analytic(_ONE_MODE_H, _K2),
+             "h must have shape (4, 4), got (2, 2)"),
+            (lambda: vacuum_phase_tracked(0.1 * np.eye(2), _K2),
+             "generator must have shape (4, 4), got (2, 2)"),
+            (lambda: mw_reflection(np.ones(3), _KF2),
+             "reflection vector must have shape (4,), got (3,)"),
+            (lambda: normalize_reflection(np.ones(3), _KF2),
+             "reflection vector must have shape (4,), got (3,)"),
+            (lambda: delta_y_z(np.eye(2), _K2), "group element must have shape (4, 4), got (2, 2)"),
+            (lambda: zeta_cocycle(np.eye(4), np.zeros(2), np.eye(4), np.zeros(4), _K2),
+             "z1 must have shape (4,), got (2,)"),
+            (lambda: zeta_cocycle(np.eye(4), np.zeros(4), np.eye(4), np.ones(6), _K2),
+             "z2 must have shape (4,), got (6,)"),
+            (lambda: gamma_phase(np.eye(4), np.ones(2), _K2), "z must have shape (4,), got (2,)"),
+        ],
+        ids=["lift_from_gqh", "gqh_overlap_analytic", "vacuum_phase_tracked", "mw_reflection",
+             "normalize_reflection", "delta_y_z", "zeta_cocycle", "zeta_cocycle-z2",
+             "gamma_phase"],
+    )
+    def test_mismatched_operand_refused(self, call, message):
+        with pytest.raises(InputError) as exc:
+            call()
+        assert str(exc.value) == message
 
 
 class TestRandomGroupElement:
