@@ -29,7 +29,7 @@ from .fermion import (
 from .fock import _number_expectation_from_parts, _PairOracle, build_fock, vacuum_amplitude_gqh
 from .generator import QuadraticHamiltonian, _affine_exp, gqh_overlap_analytic, lift_from_gqh
 from .inhomogeneous import LiftedGaussian, ig_multiply, zeta_cocycle
-from .matfunc import complex_det, mat_exp, wrap_angle
+from .matfunc import _first, _first_failure, complex_det, mat_exp, wrap_angle
 from .phase_space import Species, split_cd, standard_kahler, validate_group_element
 
 _FLOAT_FMT = "%.17g"
@@ -243,15 +243,19 @@ def _emit_rows(args, header, rows, doc):
 
 
 def _analytic_pair(h1, h2, t, k):
-    """Analytic zeta, reduced to (-pi, pi], and total number of U1(t) U2(t);
-    a non-finite value is a numerical-domain error.  Overflow on the way to it
-    is silenced, so that the error stays the only output on stderr."""
+    """Analytic zeta, reduced to (-pi, pi], and total number of U1(t) U2(t),
+    at a time or over a 1-D array of times in one stacked pass; a non-finite
+    value is a numerical-domain error, at the first time that has one.
+    Overflow on the way to it is silenced, so that the error stays the only
+    output on stderr."""
     with np.errstate(over="ignore", invalid="ignore"):
         _, z1, m1 = _affine_exp(h1, k, t)
         _, z2, m2 = _affine_exp(h2, k, t)
         zeta = wrap_angle(zeta_cocycle(m1, z1, m2, z2, k))
         number = _number_expectation_from_parts(m1, m2, z1, z2, k)
-    if not (np.isfinite(zeta) and np.isfinite(number)):
+    finite = np.isfinite(zeta) & np.isfinite(number)
+    if not finite.all():
+        t = float(np.reshape(t, -1)[_first(~finite)])
         raise NumericalDomainError(f"analytic zeta or N is not finite at t = {t}")
     return zeta, number
 
@@ -380,7 +384,7 @@ def _cmd_sweep_time(args):
         raise InputError(f"time.t_step must give at most {_MAX_ROWS} rows, got {ratio + 1:.6g}")
     nmax_list = _parse_nmax_list(args.nmax, spec.get("nmax", [80]))
     reps = {n: build_fock(k.n_modes, n) for n in nmax_list}
-    ts = [i * t_step for i in range(int(round(ratio)) + 1)]
+    ts = np.arange(int(round(ratio)) + 1) * t_step
 
     header = ["t", "zeta_analytic"]
     header += [f"zeta_numeric_nmax{n}" for n in nmax_list]
@@ -388,20 +392,20 @@ def _cmd_sweep_time(args):
     header += [f"N_numeric_nmax{n}" for n in nmax_list]
     header += [f"reliable_nmax{n}" for n in nmax_list]
 
-    # Column by column: the analytic columns over the whole grid, then one
-    # batched oracle per cutoff.  Each stage stops at the earliest row that
-    # failed so far, so the error raised is the one a row-by-row sweep
-    # (analytic first, then the cutoffs in order) would meet first.
-    analytic, stop, error = [], len(ts), None
-    for i, t in enumerate(ts):
-        try:
-            analytic.append(_analytic_pair(h1, h2, t, k))
-        except Exception as exc:
-            stop, error = i, exc
-            break
+    # Column by column: the analytic columns in one stacked pass over the
+    # grid, then one batched oracle per cutoff.  Each stage stops at the
+    # earliest row that failed so far, so the error raised is the one a
+    # row-by-row sweep (analytic first, then the cutoffs in order) would meet
+    # first; a failed stacked pass finds that row by running its rows alone.
+    stop, error = len(ts), None
+    try:
+        zetas, numbers = _analytic_pair(h1, h2, ts, k)
+    except GaussLiftError as exc:
+        (stop,), error = _first_failure(_analytic_pair, (h1, h2, ts, k),
+                                        (None, None, 0, None)) or ((0,), exc)
     oracles = []
     for n in nmax_list:
-        oracle = _PairOracle(h1, h2, np.array(ts[:stop]), reps[n])
+        oracle = _PairOracle(h1, h2, ts[:stop], reps[n])
         if stop and oracle.failure is not None:
             stop, error = oracle.failure
         oracles.append(oracle)
@@ -409,7 +413,7 @@ def _cmd_sweep_time(args):
         raise error
 
     rows = []
-    for i, (t, (zeta, number)) in enumerate(zip(ts, analytic)):
+    for i, (t, zeta, number) in enumerate(zip(ts, zetas, numbers)):
         row = [_fmt(t), _fmt(zeta)]
         row += [_fmt(o.zeta[i]) for o in oracles]
         row.append(_fmt(number))

@@ -23,7 +23,7 @@ from functools import cached_property, partial, reduce
 import numpy as np
 
 from .errors import InputError, NumericalDomainError, PhaseUndefinedError, SizeGuardError
-from .matfunc import wrap_angle
+from .matfunc import _row_order_errors, _scalar, wrap_angle
 from .phase_space import Species, _shaped
 
 #: hard guard on the truncated dimension (n_max + 1)^N
@@ -209,11 +209,6 @@ def truncation_reliable(ham, t, rep):
     return mean_excitation(ham, t, rep) <= RELIABILITY_FRACTION * rep.n_max
 
 
-def _scalar(x):
-    """A Python scalar from a 0-d result; an array result unchanged."""
-    return x.item() if np.ndim(x) == 0 else x
-
-
 class _PairOracle:
     """Oracle quantities of the pair U1(t) U2(t) at one cutoff.
 
@@ -291,16 +286,20 @@ def number_expectation(ham1, ham2, t, rep):
 
 
 def _number_expectation_from_parts(m1, m2, z1, z2, k):
-    """``number_expectation_analytic`` from M_i(t) = e^{Omega h_i t} and z_i(t)."""
+    """``number_expectation_analytic`` from M_i(t) = e^{Omega h_i t} and z_i(t),
+    or from stacks of them (one element per time)."""
     m = m1 @ m2
-    zt = z1 + m1 @ z2
-    delta = m @ m.T
-    first = -0.25 * np.trace(np.eye(k.dim) - delta)
-    return float(first + 0.5 * zt @ k.metric_inv @ zt)
+    zt = z1 + (m1 @ z2[..., None])[..., 0]
+    delta = m @ np.swapaxes(m, -1, -2)
+    first = -0.25 * np.trace(np.eye(k.dim) - delta, axis1=-2, axis2=-1)
+    return _scalar(first + 0.5 * (zt[..., None, :] @ k.metric_inv @ zt[..., :, None])[..., 0, 0])
 
 
+@_row_order_errors(None, None, 0, None)
 def number_expectation_analytic(ham1, ham2, t, k):
-    """Group-level total-number expectation for the pair evolution.
+    """Group-level total-number expectation for the pair evolution, at a time
+    or at each time of an array (an error is the first time's, as for a
+    stacked kernel).
 
     Uses -tr(I - delta_{M(t)})/4 + z~^T g z~ / 2 with M(t) = e^{Omega h1 t}
     e^{Omega h2 t} and z~ = z1(t) + M1(t) z2(t).  Independent of any phase

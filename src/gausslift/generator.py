@@ -26,7 +26,7 @@ from .errors import (
     NumericalDomainError,
     SpectrumOnCutError,
 )
-from .matfunc import complex_det, imag_trace_log, mat_exp, mat_sqrt_principal
+from .matfunc import _scalar, complex_det, imag_trace_log, mat_exp, mat_sqrt_principal
 from .metaplectic import LiftedSymplectic, cocycle_eta, mp_multiply
 from .inhomogeneous import _gamma, ig_from_parts
 from .phase_space import Species, _shaped, delta_y_z, split_cd
@@ -122,17 +122,19 @@ def _affine_exp(ham, k, t=1.0):
     X = [[0, b^T Omega^{-1} / 2, -c t], [0, K, b], [0, 0, 0]] with
     K = Omega (h t) and b = Omega (f t), scaled as by ``ham.scaled(t)``, whose
     blocks they equal bit for bit.  The blocks of e^X are entire in K, so
-    singular h needs no special case.
+    singular h needs no special case.  An array of times gives stacks of
+    (theta, z, M), one element per time, from one stacked ``mat_exp``.
     """
+    t = np.asarray(t, dtype=float)
     n2 = k.dim
-    b = k.omega @ (ham.f * t)
-    x = np.zeros((n2 + 2, n2 + 2))
-    x[0, 1:-1] = 0.5 * b @ k.omega_inv
-    x[0, -1] = -(ham.c * t)
-    x[1:-1, 1:-1] = k.omega @ (ham.h * t)
-    x[1:-1, -1] = b
+    b = (ham.f * t[..., None]) @ k.omega.T
+    x = np.zeros(t.shape + (n2 + 2, n2 + 2))
+    x[..., 0, 1:-1] = 0.5 * b @ k.omega_inv
+    x[..., 0, -1] = -(ham.c * t)
+    x[..., 1:-1, 1:-1] = k.omega @ (ham.h * t[..., None, None])
+    x[..., 1:-1, -1] = b
     e = mat_exp(x)
-    return float(e[0, -1]), e[1:-1, -1], e[1:-1, 1:-1]
+    return _scalar(e[..., 0, -1]), e[..., 1:-1, -1], e[..., 1:-1, 1:-1]
 
 
 def z_from_hf(h, f, k):

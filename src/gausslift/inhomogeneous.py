@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InputError
+from .matfunc import _any, _row_order_errors
 from .metaplectic import _eta_from_maps, mp_lift
 from .phase_space import (
     KahlerStructure,
@@ -85,13 +86,15 @@ def displacement_to_gaussian(d, k):
 
 def gamma_phase(m, z, k):
     """Displaced-squeezing phase omega(z, Y_M z) / 4, with Y_M from ``delta_y_z``;
-    a zero z forms no map."""
+    m is shape-checked for every z, and a zero z forms no map."""
+    m = _shaped(m, (k.dim, k.dim), "group element")
     z = _shaped(z, (k.dim,), "z")
     return _gamma(delta_y_z(m, k).y, z, k) if np.any(z) else 0.0
 
 
 def _gamma(y, z, k):
-    return 0.25 * k.omega_bilinear(z, y @ z)
+    """gamma from Y_M and z, or of each pair of two stacks of them."""
+    return 0.25 * k.omega_bilinear(z, (y @ z[..., None])[..., 0])
 
 
 def zeta_cocycle(m1, z1, m2, z2, k):
@@ -101,37 +104,54 @@ def zeta_cocycle(m1, z1, m2, z2, k):
     - gamma(M1 M2, z1 + M1 z2) - omega(z1, M1 z2)/2,
 
     with eta as in ``cocycle_eta`` (for fermions its Pfaffian root).  One
-    ``delta_y_z`` call per matrix: M1 (Z and Y), M2 (Y, for eta and gamma),
-    and M1 M2 if z1 + M1 z2 is nonzero.
+    ``delta_y_z`` call forms the maps of M1 (Z and Y), M2 (Y, for eta and
+    gamma) and, if z1 + M1 z2 is nonzero, M1 M2.  Takes stacks of operands
+    (leading axes) and then returns one value per element.
     Unreduced; wrap only in comparisons.
     """
-    m1 = np.asarray(m1, dtype=float)
-    m2 = np.asarray(m2, dtype=float)
-    z1 = _shaped(z1, (k.dim,), "z1")
-    z2 = _shaped(z2, (k.dim,), "z2")
-    maps1 = delta_y_z(m1, k)
-    y2 = delta_y_z(m2, k).y
-    m1z2 = m1 @ z2
+    return _zeta_parts(m1, z1, m2, z2, k)[0]
+
+
+@_row_order_errors(2, 1, 2, 1, None)
+def _zeta_parts(m1, z1, m2, z2, k):
+    """(zeta, M1 M2, z1 + M1 z2): ``zeta_cocycle`` with the product it forms."""
+    z1 = _shaped(z1, (k.dim,), "z1", stacked=True)
+    z2 = _shaped(z2, (k.dim,), "z2", stacked=True)
+    m1 = _shaped(m1, (k.dim, k.dim), "group element", stacked=True)
+    m2 = _shaped(m2, (k.dim, k.dim), "group element", stacked=True)
+    m12 = m1 @ m2
+    m1z2 = (m1 @ z2[..., None])[..., 0]
     z12 = z1 + m1z2
-    zeta = 0.5 * _eta_from_maps(maps1.z, y2, k)
-    zeta += _gamma(maps1.y, z1, k) + _gamma(y2, z2, k)
-    if np.any(z12):
-        zeta -= _gamma(delta_y_z(m1 @ m2, k).y, z12, k)
+    shifted = z12.any(axis=-1)
+    stack = m12.shape[:-2]
+    if shifted.shape != stack:
+        stack = np.broadcast_shapes(stack, shifted.shape)
+    # per element the maps of M1, M2 and, if z1 + M1 z2 is nonzero, M1 M2,
+    # as one stack in row order; an element with z1 + M1 z2 = 0 takes I in
+    # place of M1 M2, which cannot fail
+    mats = np.empty(stack + (3 if _any(shifted) else 2, k.dim, k.dim))
+    mats[..., 0, :, :] = m1
+    mats[..., 1, :, :] = m2
+    if _any(shifted):
+        mats[..., 2, :, :] = m12
+        if _any(~shifted):
+            mats[np.broadcast_to(~shifted, stack), 2] = np.eye(k.dim)
+    maps = delta_y_z(mats, k)
+    y2 = maps.y[..., 1, :, :]
+    zeta = 0.5 * _eta_from_maps(maps.z[..., 0, :, :], y2, k)
+    zeta += _gamma(maps.y[..., 0, :, :], z1, k) + _gamma(y2, z2, k)
+    if _any(shifted):
+        zeta -= _gamma(maps.y[..., 2, :, :], z12, k)
     zeta -= 0.5 * k.omega_bilinear(z1, m1z2)
-    return float(zeta)
+    return zeta, m12, z12
 
 
 def ig_multiply(a, b):
     """(M1, z1, Psi1)(M2, z2, Psi2) = (M1 M2, z1 + M1 z2, Psi1 Psi2 e^{i zeta})."""
     k = a.k
     require_same_reference(a, b)
-    zeta = zeta_cocycle(a.m, a.z, b.m, b.z, k)
-    return LiftedGaussian(
-        m=a.m @ b.m,
-        z=a.z + a.m @ b.z,
-        psi=a.psi * b.psi * np.exp(1j * zeta),
-        k=k,
-    )
+    zeta, m12, z12 = _zeta_parts(a.m, a.z, b.m, b.z, k)
+    return LiftedGaussian(m=m12, z=z12, psi=a.psi * b.psi * np.exp(1j * zeta), k=k)
 
 
 def ig_decompose(u):

@@ -79,9 +79,13 @@ def cocycle_eta(m1, m2, k):
 
 
 def _eta_from_maps(z1, y2, k):
-    """eta from Z_{M1} and Y_{M2}; see ``cocycle_eta``."""
+    """eta from Z_{M1} and Y_{M2}, or of each pair of two stacks of them of
+    one shape; see ``cocycle_eta``.  The fermionic Pfaffian root is taken per
+    element."""
     if k.species is Species.BOSON:
         return imag_trace_log(np.eye(k.dim) - z1 @ y2)
+    if z1.ndim > 2:
+        return np.array([_eta_from_maps(a, b, k) for a, b in zip(z1, y2)])
     return 2.0 * float(np.angle(_fermion_cocycle_root(z1, y2, k.n_modes)))
 
 

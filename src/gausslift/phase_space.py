@@ -1,7 +1,8 @@
 """Kähler structures and the J-relative decompositions of group elements.
 
 All matrices are stored in the real quadrature basis (q_1..q_N, p_1..p_N).
-The squeeze maps Z_M and Y_M are formed only here, both by ``delta_y_z``.
+The squeeze maps Z_M and Y_M are formed only here, both by ``delta_y_z``,
+which takes a stack of group elements as ``matfunc.mat_exp`` does.
 """
 
 import enum
@@ -11,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalDomainError
-from .matfunc import mat_exp
+from .matfunc import _any, _row_order_errors, _scalar, mat_exp
 
 
 class Species(enum.Enum):
@@ -54,8 +55,9 @@ class KahlerStructure:
         object.__setattr__(self, "omega", _np_readonly(omega))
         object.__setattr__(self, "metric", _np_readonly(metric))
         object.__setattr__(self, "j", _np_readonly(omega))
-        object.__setattr__(self, "omega_inv", _np_readonly(np.linalg.inv(omega)))
-        object.__setattr__(self, "metric_inv", _np_readonly(np.linalg.inv(metric)))
+        # Omega is orthogonal and G = I, so both inverses are exact
+        object.__setattr__(self, "omega_inv", _np_readonly(omega.T))
+        object.__setattr__(self, "metric_inv", _np_readonly(metric))
 
     @property
     def dim(self):
@@ -67,8 +69,10 @@ class KahlerStructure:
         return self.omega if self.species is Species.BOSON else self.metric
 
     def omega_bilinear(self, z1, z2):
-        """Symplectic area omega(z1, z2) = z1^T omega^{-1} z2 of two vectors."""
-        return float(np.asarray(z1) @ self.omega_inv @ np.asarray(z2))
+        """Symplectic area omega(z1, z2) = z1^T omega^{-1} z2 of two vectors,
+        or of each pair of two stacks of vectors (leading axes)."""
+        z1, z2 = np.asarray(z1), np.asarray(z2)
+        return _scalar((z1[..., None, :] @ self.omega_inv @ z2[..., :, None])[..., 0, 0])
 
 
 def standard_symplectic_form(n_modes):
@@ -89,12 +93,13 @@ def require_same_reference(a, b):
         raise InputError("operands carry different Kähler references")
 
 
-def _shaped(a, shape, name):
+def _shaped(a, shape, name, stacked=False):
     """``a`` as a float array, refused with ``InputError`` (naming it ``name``)
-    unless it has ``shape``: the one shape check of every operand that meets a
+    unless it has ``shape``, or with ``stacked`` ends in ``shape`` (a stack of
+    them, leading axes): the one shape check of every operand that meets a
     structure."""
     a = np.asarray(a, dtype=float)
-    if a.shape != shape:
+    if (a.shape[-len(shape):] if stacked else a.shape) != shape:
         raise InputError(f"{name} must have shape {shape}, got {a.shape}")
     return a
 
@@ -148,24 +153,29 @@ class DeltaYZ(NamedTuple):
     z: np.ndarray
 
 
+@_row_order_errors(2, None)
 def delta_y_z(m, k):
-    """Squeeze-sector maps of a group element from one C/D split.
+    """Squeeze-sector maps of a group element, or of each element of a stack,
+    from one C/D split.
 
     z = Z_M = C^{-1} D; y = Y_M = Z_{M^{-1}} solves C^T y = -+D^T, since
     C_{M^{-1}} = C^T and D_{M^{-1}} = -D^T (bosons) or +D^T (fermions) at the
     standard structure.  One test covers both maps, as C^T has the singular
     values of C: a numerically singular C, or one whose SVD does not converge,
     raises ``NumericalDomainError``; a matrix of the wrong shape, ``InputError``.
+    A stack makes one SVD call and two solves.
     """
-    c, d = split_cd(_shaped(m, (k.dim, k.dim), "group element"), k)
+    c, d = split_cd(_shaped(m, (k.dim, k.dim), "group element", stacked=True), k)
     try:
         sv = np.linalg.svd(c, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalDomainError(f"C_M has no singular values: {exc}") from None
-    if sv[-1] < 1e-9 * max(sv[0], 1.0):
+    low, high = sv.T[-1], sv.T[0]  # per element, in any order of the stack
+    if _any((low < 1e-9) | (low < 1e-9 * high)):  # below 1e-9 max(sigma_max, 1)
         raise NumericalDomainError("C_M is singular: the Z map does not exist")
-    d_inv = -d.T if k.species is Species.BOSON else d.T
-    return DeltaYZ(y=np.linalg.solve(c.T, d_inv), z=np.linalg.solve(c, d))
+    ct, dt = c.swapaxes(-1, -2), d.swapaxes(-1, -2)
+    return DeltaYZ(y=np.linalg.solve(ct, -dt if k.species is Species.BOSON else dt),
+                   z=np.linalg.solve(c, d))
 
 
 def random_group_element(k, rng, scale=1.0):

@@ -520,6 +520,24 @@ class TestSweepTime:
                     "--out", str(tmp_path / "sweep.csv")]) == 0
         assert len(built) == 2
 
+    def test_one_exponential_per_hamiltonian(self, tmp_path, monkeypatch):
+        # the analytic columns are one stacked pass over the grid: one
+        # mat_exp call per Hamiltonian, each over all 201 times
+        from gausslift import generator
+
+        shapes = []
+        mat_exp = generator.mat_exp
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return mat_exp(a)
+
+        monkeypatch.setattr(generator, "mat_exp", counted)
+        doc = dict(FIG2_STABLE_NO_T, time={"t_max": 10.0, "t_step": 0.05})
+        assert run(["sweep-time", "--input", write_doc(tmp_path, doc), "--nmax", "20,40,80",
+                    "--out", str(tmp_path / "sweep.csv")]) == 0
+        assert shapes == [(201, 4, 4), (201, 4, 4)]
+
     def test_json_rows_match_csv(self, tmp_path, capsys):
         doc = write_doc(tmp_path, self._doc())
         assert run(["sweep-time", "--input", doc]) == 0

@@ -136,7 +136,7 @@ class TestSqueezeMapReuse:
         calls = []
 
         def counting(m, k):
-            calls.append(m)
+            calls.append(np.shape(m))
             return phase_space.delta_y_z(m, k)
 
         for module in (metaplectic, inhomogeneous):
@@ -144,14 +144,21 @@ class TestSqueezeMapReuse:
         return calls
 
     def test_product_forms_each_distinct_matrix_once(self, rng, k2, counted):
-        # M1 (Z and Y), M2 (Y for eta and gamma) and M1 M2 (Y)
+        # M1 (Z and Y), M2 (Y for eta and gamma) and M1 M2 (Y), as one stack
         ig_multiply(random_lifted(rng, k2), random_lifted(rng, k2))
-        assert len(counted) == 3
+        assert counted == [(3, 4, 4)]
+
+    def test_product_without_shift_forms_no_map_of_the_product(self, rng, k2, counted):
+        # z1 + M1 z2 = 0: the gamma term of M1 M2 vanishes, so its map is not formed
+        a, b = (LiftedGaussian(m=u.m, z=np.zeros(4), psi=u.psi, k=k2)
+                for u in (random_lifted(rng, k2), random_lifted(rng, k2)))
+        ig_multiply(a, b)
+        assert counted == [(2, 4, 4)]
 
     def test_square_forms_its_maps_once(self, rng, k2, counted):
         a = mp_lift(random_group_element(k2, rng), k2)
         mp_multiply(a, a)
-        assert len(counted) == 1
+        assert counted == [(4, 4)]
 
 
 class TestIgMultiply:

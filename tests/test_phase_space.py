@@ -219,10 +219,20 @@ class TestOperandShape:
             (lambda: zeta_cocycle(np.eye(4), np.zeros(4), np.eye(4), np.ones(6), _K2),
              "z2 must have shape (4,), got (6,)"),
             (lambda: gamma_phase(np.eye(4), np.ones(2), _K2), "z must have shape (4,), got (2,)"),
+            (lambda: gamma_phase(np.ones((3, 3)), np.zeros(4), _K2),
+             "group element must have shape (4, 4), got (3, 3)"),
+            (lambda: zeta_cocycle(np.eye(2), np.zeros(4), np.eye(4), np.zeros(4), _K2),
+             "group element must have shape (4, 4), got (2, 2)"),
+            (lambda: zeta_cocycle(np.eye(4), np.zeros(4), np.eye(2), np.zeros(4), _K2),
+             "group element must have shape (4, 4), got (2, 2)"),
+            # a stack fails as its first element does
+            (lambda: delta_y_z(np.eye(2)[None], _K2),
+             "group element must have shape (4, 4), got (2, 2)"),
         ],
         ids=["lift_from_gqh", "gqh_overlap_analytic", "vacuum_phase_tracked", "mw_reflection",
              "normalize_reflection", "delta_y_z", "zeta_cocycle", "zeta_cocycle-z2",
-             "gamma_phase"],
+             "gamma_phase", "gamma_phase-zero-z", "zeta_cocycle-m1", "zeta_cocycle-m2",
+             "delta_y_z-stack"],
     )
     def test_mismatched_operand_refused(self, call, message):
         with pytest.raises(InputError) as exc:
