@@ -26,7 +26,7 @@ from .fermion import (
     reference_reflection,
     so_generator,
 )
-from .fock import _number_expectation_from_parts, _PairOracle, build_fock, vacuum_amplitude_gqh
+from .fock import _number_expectation_from_parts, _PairOracle, build_fock
 from .generator import QuadraticHamiltonian, _affine_exp, gqh_overlap_analytic, lift_from_gqh
 from .inhomogeneous import LiftedGaussian, ig_multiply, zeta_cocycle
 from .matfunc import _first, _first_failure, complex_det, mat_exp, wrap_angle
@@ -347,8 +347,8 @@ def _cmd_verify(args):
     oracle = _PairOracle(h1, h2, t, rep)
     record("zeta", abs(wrap_angle(zeta - oracle.zeta)))
     record("number_expectation", abs(number - oracle.number))
-    for name, ham in (("U1", h1), ("U2", h2)):
-        amp = vacuum_amplitude_gqh(ham, t, rep)
+    # the oracle has evolved U1|0> and U2|0>; its ``zeta`` checked their amplitudes
+    for name, ham, amp in zip(("U1", "U2"), (h1, h2), map(complex, oracle._columns[:2])):
         analytic = gqh_overlap_analytic(ham.scaled(t), k)
         record(f"{name}_phase", abs(wrap_angle(np.angle(analytic) - np.angle(amp))))
         record(f"{name}_modulus", abs(abs(analytic) - abs(amp)))
@@ -471,29 +471,26 @@ def _cmd_fermion(args):
     out["M_w"] = mw.tolist()
     out["M_w_det"] = float(np.linalg.det(mw))
     out["M_w_involution_residual"] = float(np.max(np.abs(mw @ mw - np.eye(k.dim))))
+    rep = None  # the Majorana oracle, built on first use
     if "M" in doc:
         m = _parse_matrix(doc["M"], k.dim, "M")
         phase = pin_component_phase(m, refl, k)
-        entry = {"det": float(np.linalg.det(m)), "phase": _complex_pair(phase)}
+        det = float(np.linalg.det(m))
+        entry = {"det": det, "phase": _complex_pair(phase)}
         if n_modes <= 5:
-            m_plus = m if np.linalg.det(m) > 0 else mw @ m
-            oracle = fermion_vacuum_amplitude(so_generator(m_plus), build_majorana(n_modes))
+            rep = build_majorana(n_modes)
+            oracle = fermion_vacuum_amplitude(so_generator(m if det > 0 else mw @ m), rep)
             entry["oracle_phase"] = _complex_pair(oracle / abs(oracle))
             entry["oracle_agreement"] = abs(phase - oracle / abs(oracle))
         out["pin"] = entry
     if "hamiltonians" in doc:
         entries = []
         for ham in _parse_hamiltonians(doc, k):
-            amp = fermion_vacuum_amplitude(ham.h, build_majorana(n_modes))
-            m = mat_exp(ham.h)
-            c_part, _ = split_cd(m, k)
-            det = complex_det(c_part)
-            entries.append(
-                {
-                    "amplitude": _complex_pair(amp),
-                    "squared_identity_residual": abs(amp * amp - det),
-                }
-            )
+            rep = rep or build_majorana(n_modes)
+            amp = fermion_vacuum_amplitude(ham.h, rep)
+            det = complex_det(split_cd(mat_exp(ham.h), k)[0])
+            entries.append({"amplitude": _complex_pair(amp),
+                            "squared_identity_residual": abs(amp * amp - det)})
         out["amplitudes"] = entries
     _emit_json(out, args.out)
     return 0

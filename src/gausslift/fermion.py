@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import InputError, InvalidStructureError, NumericalDomainError
 from .generator import vacuum_phase_tracked
-from .matfunc import mat_exp
+from .matfunc import _as_square, mat_exp
 from .phase_space import GROUP_RESIDUAL_TOL, Species, _shaped, validate_group_element
 
 #: tolerance on the w G w = 2 normalization of a reflection vector
@@ -69,7 +69,7 @@ def so_generator(m):
     """
     import scipy.linalg
 
-    m = np.asarray(m, dtype=float)
+    m = _as_square(np.asarray(m, dtype=float), "M")
     n = m.shape[0]
     if np.max(np.abs(m @ m.T - np.eye(n))) > GROUP_RESIDUAL_TOL:
         raise InputError("matrix is not orthogonal")

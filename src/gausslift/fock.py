@@ -8,11 +8,12 @@ one ``eigh``, so this branch (which every Fig. 2 sweep takes) runs in numpy
 alone and uses one OpenBLAS pool; above it, operators are scipy sparse
 matrices and each time is one Krylov ``expm_multiply``, and only that branch
 imports scipy.
-Every state comes from one routine, ``_Evolution.apply(t, vec)``: U|0> is
-the vacuum evolved by U, and U1 U2|0> is U2|0> evolved by U1.  It takes one
-time or a 1-D array of times; for an array, states are stacked one row per
-time, and a time sweep costs one product per state instead of one per time.
-Every vacuum amplitude is read off an evolved state, as its first entry.
+Every state comes from one routine, ``_Evolution.apply(t, vec)``, of an
+evolution that ``FockRep._evolution`` gives (and refuses for fermions): U|0>
+is the vacuum evolved by U, and U1 U2|0> is U2|0> evolved by U1.  It takes
+one time or a 1-D array of times; for an array, states are stacked one row
+per time, and a time sweep costs one product per state instead of one per
+time.  Every vacuum amplitude is read off an evolved state (its first entry).
 This module is the independent truth source the analytic phase formulas are
 verified against; it must not import any of them (the analytic number
 expectation below uses only group-level data).
@@ -112,6 +113,9 @@ class FockRep:
         return out
 
     def _evolution(self, ham):
+        """The cached evolution of ``ham``; every oracle state passes here."""
+        if ham.species is Species.FERMION:
+            raise InputError("the Fock oracle is bosonic")
         key = (ham.h.tobytes(), ham.f.tobytes(), ham.c)
         ev = self._evolutions.get(key)
         if ev is None:
@@ -160,11 +164,6 @@ def build_fock(n_modes, n_max):
     return FockRep(n_modes, n_max)
 
 
-def _require_boson(ham):
-    if getattr(ham, "species", Species.BOSON) is Species.FERMION:
-        raise InputError("the Fock oracle is bosonic")
-
-
 def _amplitude_error(amps, names=()):
     """The error of the first failing check on the vacuum amplitudes of one
     time, or None.  The order is ``zeta_numeric``'s: a modulus above 1 for the
@@ -181,7 +180,6 @@ def _amplitude_error(amps, names=()):
 
 def vacuum_amplitude_gqh(ham, t, rep):
     """<0| e^{-i H t} |0> on the truncated space."""
-    _require_boson(ham)
     amp = complex(rep._evolution(ham).apply(t, rep.vacuum)[..., 0])
     error = _amplitude_error([amp])
     if error is not None:
@@ -217,7 +215,8 @@ class _PairOracle:
     times, a single time as a block of its own: per block, U1|0>, U2|0> and
     U1 U2|0> are each evolved once, and only their vacuum amplitudes and mean
     excitations are kept.  ``zeta`` raises what ``zeta_numeric`` raises at the
-    first time where it would raise; ``number`` and ``reliable`` raise nothing.
+    first time where it would raise; ``number`` and ``reliable`` raise only
+    the species refusal of ``FockRep._evolution``.
     """
 
     def __init__(self, ham1, ham2, t, rep):
@@ -253,8 +252,6 @@ class _PairOracle:
 
     @cached_property
     def zeta(self):
-        _require_boson(self.ham1)
-        _require_boson(self.ham2)
         if self.failure is not None:
             raise self.failure[1]
         a1, a2, a12 = self._columns[:3]

@@ -26,7 +26,7 @@ from .errors import (
     NumericalDomainError,
     SpectrumOnCutError,
 )
-from .matfunc import _scalar, complex_det, imag_trace_log, mat_exp, mat_sqrt_principal
+from .matfunc import _as_square, _scalar, complex_det, imag_trace_log, mat_exp, mat_sqrt_principal
 from .metaplectic import LiftedSymplectic, cocycle_eta, mp_multiply
 from .inhomogeneous import _gamma, ig_from_parts
 from .phase_space import Species, _shaped, delta_y_z, split_cd
@@ -179,7 +179,7 @@ def vacuum_phase_tracked(kgen, k):
     tracking along t -> e^{tK} from +1 at t = 0 defines, which squaring
     reaches exactly without a grid.
     """
-    kgen = _shaped(kgen, (k.dim, k.dim), "generator")
+    kgen = _as_square(_shaped(kgen, (k.dim, k.dim), "generator"), "generator")
     if not kgen.any():
         return 1.0 + 0.0j
     lifted = _squared_lift(kgen, k)

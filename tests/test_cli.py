@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -35,6 +36,8 @@ FIG2_UNSTABLE_NO_T = {
 #: tolerances the benchmark checks it with: oracle columns move in their last
 #: digits with the BLAS thread count, anything beyond is a change of output
 FIG2_SWEEP_REF = Path(__file__).resolve().parents[1] / "bench" / "data" / "fig2_sweep_ref.csv"
+#: the committed CLI inputs
+CLI_DATA = Path(__file__).resolve().parent / "data" / "cli"
 FIG2_RTOL = 1e-9
 FIG2_ATOL = 1e-12
 
@@ -82,6 +85,13 @@ class TestCompose:
         out = json.loads(capsys.readouterr().out)
         again = write_doc(tmp_path, out, "roundtrip.json")
         assert run(["compose", "--input", again]) == 0
+
+    def test_input_dash_reads_stdin(self, tmp_path, monkeypatch, capsys):
+        assert run(["compose", "--input", write_doc(tmp_path, IDENTITY_ELEMENT_DOC)]) == 0
+        from_file = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(IDENTITY_ELEMENT_DOC)))
+        assert run(["compose", "--input", "-"]) == 0
+        assert capsys.readouterr().out == from_file
 
 
 class TestLift:
@@ -155,6 +165,21 @@ class TestVerify:
         out = json.loads(capsys.readouterr().out)
         assert out["verdict"] == "pass"
         assert out["reliable"] is True
+
+    def test_one_evolution_per_state(self, monkeypatch):
+        # U1|0>, U2|0> and U1 U2|0> are evolved once each: the U1 and U2
+        # checks read the amplitudes that the pair oracle already holds
+        calls = []
+        apply = fock._Evolution.apply
+
+        def counted(self, t, vec):
+            calls.append(t)
+            return apply(self, t, vec)
+
+        monkeypatch.setattr(fock._Evolution, "apply", counted)
+        assert run(["verify", "--input", str(CLI_DATA / "fig2_stable.json"),
+                    "--out", os.devnull]) == 0
+        assert len(calls) == 3
 
     def test_absurd_tolerance_fails_with_exit_one(self, tmp_path, capsys):
         code = run(
@@ -366,12 +391,38 @@ class TestErrorPaths:
              "grid sweeps cover bosonic hamiltonians"),
             (["sweep-grid"], {"species": "boson", "N": 2},
              "the (a, c) grid sweep is a single-mode study"),
+            (["lift"], {"species": "boson", "N": 1, "hamiltonians": {"h": [[1, 0], [0, 1]]}},
+             "field 'hamiltonians' has wrong type"),
+            (["lift"], {"species": "boson", "N": 1, "hamiltonians": [{"h": np.eye(3).tolist()}]},
+             "hamiltonians[0].h must be a 2x2 row-major matrix"),
+            (["lift"], {"species": "boson", "N": 1,
+                        "hamiltonians": [{"h": [[1, 0], [0, 1]], "f": [1, 2, 3]}]},
+             "hamiltonians[0].f must be a length-2 vector"),
+            (["verify"], dict(FIG2_STABLE_DOC, hamiltonians=FIG2_STABLE_DOC["hamiltonians"][:1]),
+             "need at least 2 hamiltonian(s)"),
+            (["compose"], {"species": "boson", "N": 1,
+                           "elements": [{"M": [[1, 0], [0, 1]], "Psi": [1, 0, 0]}]},
+             "elements[0].Psi must be a [re, im] pair"),
+            (["sweep-grid"], {"species": "boson", "N": 1, "grid": {"a": [0, 1, -1]}},
+             "grid.a needs a non-negative point count"),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"t_max": 1, "t_step": 0}),
+             "time grid needs t_step > 0 and a finite t_max >= 0"),
+            (["sweep-time"], dict(FIG2_STABLE_DOC, time={"t_max": -1}),
+             "time grid needs t_step > 0 and a finite t_max >= 0"),
+            # a string is the --input path itself, in an empty directory
+            (["compose"], "missing.json",
+             "cannot read input: [Errno 2] No such file or directory: 'missing.json'"),
         ],
         ids=["lift-fermion", "verify-fermion", "sweep-time-fermion", "sweep-grid-fermion",
-             "sweep-grid-two-modes"],
+             "sweep-grid-two-modes", "hamiltonians-not-list", "h-wrong-shape",
+             "f-wrong-length", "verify-one-hamiltonian", "psi-not-pair", "grid-count-negative",
+             "t-step-zero", "t-max-negative", "input-unreadable"],
     )
-    def test_unsupported_input_exits_two(self, tmp_path, capsys, argv, doc, message):
-        assert run(argv + ["--input", write_doc(tmp_path, doc)]) == 2
+    def test_unsupported_input_exits_two(self, tmp_path, monkeypatch, capsys, argv, doc,
+                                         message):
+        monkeypatch.chdir(tmp_path)
+        path = doc if isinstance(doc, str) else write_doc(tmp_path, doc)
+        assert run(argv + ["--input", path]) == 2
         err = json.loads(capsys.readouterr().err)["error"]
         assert err == {"code": "input", "message": message}
 
@@ -691,6 +742,30 @@ class TestFermionCommand:
         mw = np.array(out["M_w"])
         np.testing.assert_allclose(mw, np.outer(out["w"], out["w"]) - np.eye(4), atol=0)
         assert out["M_w_det"] == pytest.approx(-1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "doc, builds",
+        [(json.loads((CLI_DATA / "fermion_m_w_hamiltonians.json").read_text()), 1),
+         ({"species": "fermion", "N": 2, "hamiltonians": [{"h": np.zeros((4, 4)).tolist()}] * 3},
+          1),
+         ({"species": "fermion", "N": 2, "w": [1.0, 2.0, -0.5, 0.3]}, 0)],
+        ids=["pin-and-hamiltonians", "hamiltonians", "reflection-only"],
+    )
+    def test_one_majorana_rep_per_run(self, tmp_path, monkeypatch, doc, builds):
+        # the Pin oracle and every Hamiltonian share one 2^N representation,
+        # and a run that checks nothing against it builds none
+        from gausslift import fermion
+
+        built = []
+        init = fermion.MajoranaRep.__init__
+
+        def counted(self, n_modes):
+            built.append(n_modes)
+            init(self, n_modes)
+
+        monkeypatch.setattr(fermion.MajoranaRep, "__init__", counted)
+        assert run(["fermion", "--input", write_doc(tmp_path, doc), "--out", os.devnull]) == 0
+        assert len(built) == builds
 
     def test_boson_species_rejected(self, tmp_path):
         assert run(["fermion", "--input", write_doc(tmp_path, {"species": "boson", "N": 1})]) == 2

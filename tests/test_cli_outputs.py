@@ -65,8 +65,11 @@ def _run(argv, source):
 
 
 def _same(value, expected, where):
-    """Assert ``value`` matches ``expected``: numbers within tolerance, all
-    else (keys, lengths, strings, booleans, null) exactly."""
+    """Assert ``value`` matches ``expected``: numbers, and strings that both
+    parse as numbers (CSV cells, JSON sweep rows), within tolerance; all else
+    (keys, lengths, other strings, booleans, null) exactly."""
+    if isinstance(value, str) and isinstance(expected, str):
+        value, expected = _cell(value), _cell(expected)
     if isinstance(expected, dict):
         assert isinstance(value, dict) and list(value) == list(expected), where
         for key in expected:
@@ -103,8 +106,7 @@ def _same_output(value, expected, where):
     rows, pinned = value.splitlines(), expected.splitlines()
     assert len(rows) == len(pinned), where
     for i, (row, pinned_row) in enumerate(zip(rows, pinned)):
-        cells = [_cell(c) for c in row.split(",")]
-        _same(cells, [_cell(c) for c in pinned_row.split(",")], f"{where} line {i + 1}")
+        _same(row.split(","), pinned_row.split(","), f"{where} line {i + 1}")
 
 
 @pytest.mark.parametrize("case, argv, source, code", CASES, ids=[c[0] for c in CASES])
@@ -113,6 +115,25 @@ def test_output_matches_pinned(case, argv, source, code):
     assert got_code == code
     _same_output(out, (EXPECTED / f"{case}.out").read_text(), f"{case} stdout")
     assert err == (EXPECTED / f"{case}.err").read_text()
+
+
+@pytest.mark.parametrize(
+    "value, expected, same",
+    [("0.49999999999999994", "0.49999999999999989", True),
+     ("0.49999999999999994", "0.4999999995", False),
+     ("ok", "OK", False),
+     ("nan", "nan", True),
+     ("1", "1.0", True)],
+    ids=["last-digit", "relative-1e-9", "text-case", "nan", "same-number"],
+)
+def test_numeric_strings_compare_as_numbers(value, expected, same):
+    # a JSON sweep row holds its numbers as %.17g strings
+    row, pinned = {"rows": [{"t": value}]}, {"rows": [{"t": expected}]}
+    if same:
+        _same(row, pinned, "row")
+    else:
+        with pytest.raises(AssertionError):
+            _same(row, pinned, "row")
 
 
 def _write_expected():

@@ -21,7 +21,7 @@ from gausslift import (
     wrap_angle,
     zeta_cocycle,
 )
-from gausslift.errors import InputError, UnitarilyOrthogonalError
+from gausslift.errors import InputError, InvalidStructureError, UnitarilyOrthogonalError
 from gausslift.fermion import normalize_reflection
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -79,6 +79,34 @@ class TestSoGenerator:
     def test_reflection_rejected(self):
         with pytest.raises(InputError):
             so_generator(np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize(
+        "call, m, error, message",
+        [
+            (so_generator, np.full((2, 2), np.nan), InvalidStructureError,
+             "M contains non-finite entries"),
+            (so_generator, np.diag([np.inf, 1.0]), InvalidStructureError,
+             "M contains non-finite entries"),
+            (so_generator, np.ones((3, 2)), InvalidStructureError,
+             "M must be a square matrix, got shape (3, 2)"),
+            (vacuum_phase_tracked, np.full((2, 2), np.nan), InvalidStructureError,
+             "generator contains non-finite entries"),
+            (vacuum_phase_tracked, np.diag([np.inf, 1.0]), InvalidStructureError,
+             "generator contains non-finite entries"),
+            # a shape that does not fit the structure is the shape check's
+            (vacuum_phase_tracked, np.ones((3, 2)), InputError,
+             "generator must have shape (2, 2), got (3, 2)"),
+        ],
+        ids=["so_generator-nan", "so_generator-inf", "so_generator-3x2",
+             "vacuum_phase_tracked-nan", "vacuum_phase_tracked-inf",
+             "vacuum_phase_tracked-3x2"],
+    )
+    def test_non_finite_or_non_square_refused(self, kf1, call, m, error, message):
+        # refused before scipy or LAPACK sees it: no bare ValueError or LinAlgError
+        args = (m,) if call is so_generator else (m, kf1)
+        with pytest.raises(error) as exc:
+            call(*args)
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestVacuumAmplitude:

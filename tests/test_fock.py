@@ -5,6 +5,7 @@ import scipy.sparse.linalg
 from conftest import FIG2_F, FIG2_STABLE, FIG2_UNSTABLE, dense, random_gqh
 from gausslift import (
     QuadraticHamiltonian,
+    Species,
     build_fock,
     mean_excitation,
     number_expectation,
@@ -231,6 +232,32 @@ class TestPairOracle:
         assert zeta_numeric(h1, h2, 2.2, rep) == oracle.zeta
         assert number_expectation(h1, h2, 2.2, rep) == oracle.number
         assert truncation_reliable_pair(h1, h2, 2.2, rep) == oracle.reliable
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fermion, boson, rep: vacuum_amplitude_gqh(fermion, 1.0, rep),
+            lambda fermion, boson, rep: mean_excitation(fermion, 1.0, rep),
+            lambda fermion, boson, rep: truncation_reliable(fermion, 1.0, rep),
+            lambda fermion, boson, rep: zeta_numeric(fermion, boson, 1.0, rep),
+            lambda fermion, boson, rep: zeta_numeric(boson, fermion, 1.0, rep),
+            lambda fermion, boson, rep: number_expectation(boson, fermion, 1.0, rep),
+            lambda fermion, boson, rep: number_expectation(fermion, boson, [0.5, 1.0], rep),
+            lambda fermion, boson, rep: truncation_reliable_pair(fermion, boson, 1.0, rep),
+            lambda fermion, boson, rep: truncation_reliable_pair(boson, fermion, 1.0, rep),
+        ],
+        ids=["vacuum_amplitude_gqh", "mean_excitation", "truncation_reliable",
+             "zeta_numeric-first", "zeta_numeric-second", "number_expectation-second",
+             "number_expectation-times", "truncation_reliable_pair-first",
+             "truncation_reliable_pair-second"],
+    )
+    def test_every_public_function_refuses_fermions(self, call):
+        fermion = QuadraticHamiltonian(h=np.array([[0.0, 0.5], [-0.5, 0.0]]),
+                                       species=Species.FERMION)
+        boson = QuadraticHamiltonian(h=FIG2_STABLE[0], f=FIG2_F)
+        with pytest.raises(InputError) as exc:
+            call(fermion, boson, build_fock(1, 10))
+        assert type(exc.value) is InputError and str(exc.value) == "the Fock oracle is bosonic"
 
     def test_vanishing_product_amplitude_raises_only_for_zeta(self):
         # |<0|D(z)|0>| = e^{-|z|^2/4}: 1.2e-4 for each factor, 2.3e-16 for the product

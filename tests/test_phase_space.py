@@ -11,7 +11,9 @@ from gausslift import (
     lift_from_gqh,
     mat_exp,
     mw_reflection,
+    pin_component_phase,
     random_group_element,
+    so_generator,
     split_cd,
     standard_kahler,
     vacuum_phase_tracked,
@@ -19,7 +21,9 @@ from gausslift import (
     zeta_cocycle,
 )
 from gausslift.errors import InputError, NumericalDomainError
-from gausslift.fermion import normalize_reflection
+from gausslift.fermion import MajoranaRep, normalize_reflection
+from gausslift.inhomogeneous import Displacement, displacement_to_gaussian
+from gausslift.metaplectic import mp_lift
 from gausslift.phase_space import KahlerStructure, group_inverse
 
 
@@ -193,50 +197,80 @@ class TestDeltaYZ:
             delta_y_z(np.array([[np.inf, 0.0], [0.0, 1.0]]), k1)
 
 
+_K1, _KF1 = standard_kahler(1), standard_kahler(1, Species.FERMION)
 _K2, _KF2 = standard_kahler(2), standard_kahler(2, Species.FERMION)
 _ONE_MODE_H = QuadraticHamiltonian(h=np.eye(2), f=np.array([0.5, 0.5]))
+_FERMION_H = QuadraticHamiltonian(h=np.array([[0.0, 1.0], [-1.0, 0.0]]), species=Species.FERMION)
 
 
 class TestOperandShape:
     """Every entry point that meets an operand with a structure refuses a
-    mismatched shape with ``InputError``, naming the operand and both shapes."""
+    mismatched shape with ``InputError``, naming the operand and both shapes;
+    the rows after those refuse other malformed operands, each with its exact
+    class and message."""
 
     @pytest.mark.parametrize(
-        "call, message",
+        "call, error, message",
         [
-            (lambda: lift_from_gqh(_ONE_MODE_H, _K2), "h must have shape (4, 4), got (2, 2)"),
-            (lambda: gqh_overlap_analytic(_ONE_MODE_H, _K2),
+            (lambda: lift_from_gqh(_ONE_MODE_H, _K2), InputError,
              "h must have shape (4, 4), got (2, 2)"),
-            (lambda: vacuum_phase_tracked(0.1 * np.eye(2), _K2),
+            (lambda: gqh_overlap_analytic(_ONE_MODE_H, _K2), InputError,
+             "h must have shape (4, 4), got (2, 2)"),
+            (lambda: vacuum_phase_tracked(0.1 * np.eye(2), _K2), InputError,
              "generator must have shape (4, 4), got (2, 2)"),
-            (lambda: mw_reflection(np.ones(3), _KF2),
+            (lambda: mw_reflection(np.ones(3), _KF2), InputError,
              "reflection vector must have shape (4,), got (3,)"),
-            (lambda: normalize_reflection(np.ones(3), _KF2),
+            (lambda: normalize_reflection(np.ones(3), _KF2), InputError,
              "reflection vector must have shape (4,), got (3,)"),
-            (lambda: delta_y_z(np.eye(2), _K2), "group element must have shape (4, 4), got (2, 2)"),
+            (lambda: delta_y_z(np.eye(2), _K2), InputError,
+             "group element must have shape (4, 4), got (2, 2)"),
             (lambda: zeta_cocycle(np.eye(4), np.zeros(2), np.eye(4), np.zeros(4), _K2),
-             "z1 must have shape (4,), got (2,)"),
+             InputError, "z1 must have shape (4,), got (2,)"),
             (lambda: zeta_cocycle(np.eye(4), np.zeros(4), np.eye(4), np.ones(6), _K2),
-             "z2 must have shape (4,), got (6,)"),
-            (lambda: gamma_phase(np.eye(4), np.ones(2), _K2), "z must have shape (4,), got (2,)"),
-            (lambda: gamma_phase(np.ones((3, 3)), np.zeros(4), _K2),
+             InputError, "z2 must have shape (4,), got (6,)"),
+            (lambda: gamma_phase(np.eye(4), np.ones(2), _K2), InputError,
+             "z must have shape (4,), got (2,)"),
+            (lambda: gamma_phase(np.ones((3, 3)), np.zeros(4), _K2), InputError,
              "group element must have shape (4, 4), got (3, 3)"),
             (lambda: zeta_cocycle(np.eye(2), np.zeros(4), np.eye(4), np.zeros(4), _K2),
-             "group element must have shape (4, 4), got (2, 2)"),
+             InputError, "group element must have shape (4, 4), got (2, 2)"),
             (lambda: zeta_cocycle(np.eye(4), np.zeros(4), np.eye(2), np.zeros(4), _K2),
-             "group element must have shape (4, 4), got (2, 2)"),
+             InputError, "group element must have shape (4, 4), got (2, 2)"),
             # a stack fails as its first element does
-            (lambda: delta_y_z(np.eye(2)[None], _K2),
+            (lambda: delta_y_z(np.eye(2)[None], _K2), InputError,
              "group element must have shape (4, 4), got (2, 2)"),
+            (lambda: mp_lift(np.eye(2), _K1, branch=2), InputError, "branch must be +1 or -1"),
+            (lambda: Displacement(z=np.array([np.inf, 0.0])), InputError,
+             "displacement needs a finite vector and angle"),
+            (lambda: Displacement(z=np.zeros(2), phase=np.nan), InputError,
+             "displacement needs a finite vector and angle"),
+            (lambda: displacement_to_gaussian(Displacement(z=np.zeros(2)), _KF1), InputError,
+             "fermions admit no displacements"),
+            (lambda: QuadraticHamiltonian(h=np.eye(3)), InputError,
+             "h must be square with even dimension, got (3, 3)"),
+            (lambda: lift_from_gqh(_FERMION_H, _KF1), InputError,
+             "generator lifting covers bosons"),
+            (lambda: pin_component_phase(np.eye(2), np.array([np.sqrt(2.0), 0.0]), _K1),
+             InputError, "Pin phases belong to the fermionic component"),
+            (lambda: normalize_reflection(np.zeros(2), _KF1), InputError,
+             "reflection vector must have positive metric norm"),
+            (lambda: so_generator(2 * np.eye(2)), InputError, "matrix is not orthogonal"),
+            (lambda: MajoranaRep(1).quadratic_operator(np.eye(2)), InputError,
+             "fermionic h must be antisymmetric"),
         ],
         ids=["lift_from_gqh", "gqh_overlap_analytic", "vacuum_phase_tracked", "mw_reflection",
              "normalize_reflection", "delta_y_z", "zeta_cocycle", "zeta_cocycle-z2",
              "gamma_phase", "gamma_phase-zero-z", "zeta_cocycle-m1", "zeta_cocycle-m2",
-             "delta_y_z-stack"],
+             "delta_y_z-stack", "mp_lift-branch", "displacement-z-infinite",
+             "displacement-phase-nan", "displacement_to_gaussian-fermion",
+             "hamiltonian-odd-h", "lift_from_gqh-fermion", "pin_component_phase-boson",
+             "normalize_reflection-zero", "so_generator-not-orthogonal",
+             "quadratic_operator-symmetric"],
     )
-    def test_mismatched_operand_refused(self, call, message):
-        with pytest.raises(InputError) as exc:
+    def test_mismatched_operand_refused(self, call, error, message):
+        with pytest.raises(error) as exc:
             call()
+        assert type(exc.value) is error
         assert str(exc.value) == message
 
 
