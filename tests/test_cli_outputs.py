@@ -44,6 +44,8 @@ CASES = [
     ("lift-two-mode", ["lift"], "two_mode_pair.json", 0),
     ("phase-fig2", ["phase"], "fig2_stable.json", 0),
     ("phase-two-mode", ["phase"], "two_mode_pair.json", 0),
+    ("phase-fermion-m-w-hamiltonians", ["phase"], "fermion_m_w_hamiltonians.json", 0),
+    ("lift-fig2-unstable-400", ["lift"], "fig2_unstable_tmax400.json", 0),
     ("compose-two-mode-lift", ["compose"], "expected/lift-two-mode.out", 0),
     ("sweep-grid-default", ["sweep-grid"], "grid_single_mode.json", 0),
     ("sweep-grid-rho1-tau45deg", ["sweep-grid", "--rho", "1", "--tau", "45deg"],
