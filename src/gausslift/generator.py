@@ -1,15 +1,16 @@
 """Lifting quadratic Hamiltonians (h, f, c) to lifted triples (M, z, Psi).
 
-Lifts and Pin phases come from scaling and squaring: e^{K/2^s}, close to the
-identity, is lifted on its continuous branch and squared s times with the
-group law ``mp_multiply``.  Every square e^{K/2^j} (j >= 1) must have an
-invertible C; where one does not, a ``NumericalDomainError`` is raised and no
-branch is guessed.  The displacement z and phase theta of e^{-iH} in
-displacement-squeezing form come with M from one exponential of a
-(2N + 2) x (2N + 2) generator (``_affine_exp``).  The closed forms
-``vacuum_phase_stable`` (stable bosonic generators) and ``sigma_map``
-(spectral radius < 4) are independent cross-checks that share no code with
-the lift.
+One engine serves every lift and Pin phase: scaling and squaring in the
+inhomogeneous group.  e^{-iH} is the exponential of a (2N + 2) x (2N + 2)
+affine generator X (``_affine_generator``) whose blocks hold theta, z and M;
+e^{X/2^s}, close to the identity, is lifted to (M, z, Psi) on its continuous
+branch and squared s times with the group law ``ig_multiply``
+(``_squared_lift``).  A vacuum phase is the same engine on an X that holds
+only K.  Every square e^{X/2^j} (j >= 1) must have an invertible C; where
+one does not, a ``NumericalDomainError`` is raised and no branch is guessed.
+The closed forms ``vacuum_phase_stable`` (stable bosonic generators) and
+``sigma_map`` (spectral radius < 4) are independent cross-checks that share
+no code with the lift.
 """
 
 import functools
@@ -27,8 +28,8 @@ from .errors import (
     SpectrumOnCutError,
 )
 from .matfunc import _as_square, _scalar, complex_det, imag_trace_log, mat_exp, mat_sqrt_principal
-from .metaplectic import LiftedSymplectic, cocycle_eta, mp_multiply
-from .inhomogeneous import _gamma, ig_from_parts
+from .metaplectic import cocycle_eta
+from .inhomogeneous import LiftedGaussian, gamma_phase, ig_multiply
 from .phase_space import Species, _shaped, delta_y_z, split_cd
 
 #: spectral radius below which beta is evaluated (by its odd power series,
@@ -113,18 +114,11 @@ def _beta_function(kmat):
     return kmat @ acc
 
 
-def _affine_exp(ham, k, t=1.0):
-    """(theta, z, M) with e^{-iHt} = e^{i theta} D(z) S(M), from one exponential.
-
-    The law (theta1 + theta2 + omega(z1, M1 z2)/2, z1 + M1 z2, M1 M2) is the
-    product of the matrices [[1, z^T Omega^{-1} M / 2, theta], [0, M, z],
-    [0, 0, 1]], and e^{-iHt} is the exponential of
-    X = [[0, b^T Omega^{-1} / 2, -c t], [0, K, b], [0, 0, 0]] with
-    K = Omega (h t) and b = Omega (f t), scaled as by ``ham.scaled(t)``, whose
-    blocks they equal bit for bit.  The blocks of e^X are entire in K, so
-    singular h needs no special case.  An array of times gives stacks of
-    (theta, z, M), one element per time, from one stacked ``mat_exp``.
-    """
+def _affine_generator(ham, k, t=1.0):
+    """X = [[0, b^T Omega^{-1} / 2, -c t], [0, K, b], [0, 0, 0]] of e^{-iHt},
+    with K = Omega (h t) and b = Omega (f t), scaled as by ``ham.scaled(t)``,
+    whose blocks they equal bit for bit; a stack of them, one per time, for
+    an array of times."""
     t = np.asarray(t, dtype=float)
     n2 = k.dim
     b = (ham.f * t[..., None]) @ k.omega.T
@@ -133,7 +127,20 @@ def _affine_exp(ham, k, t=1.0):
     x[..., 0, -1] = -(ham.c * t)
     x[..., 1:-1, 1:-1] = k.omega @ (ham.h * t[..., None, None])
     x[..., 1:-1, -1] = b
-    e = mat_exp(x)
+    return x
+
+
+def _affine_exp(ham, k, t=1.0):
+    """(theta, z, M) with e^{-iHt} = e^{i theta} D(z) S(M), from one exponential.
+
+    The law (theta1 + theta2 + omega(z1, M1 z2)/2, z1 + M1 z2, M1 M2) is the
+    product of the matrices [[1, z^T Omega^{-1} M / 2, theta], [0, M, z],
+    [0, 0, 1]], and e^{-iHt} is the exponential of ``_affine_generator``.
+    The blocks of e^X are entire in K, so singular h needs no special case.
+    An array of times gives stacks of (theta, z, M), one element per time,
+    from one stacked ``mat_exp``.
+    """
+    e = mat_exp(_affine_generator(ham, k, t))
     return _scalar(e[..., 0, -1]), e[..., 1:-1, -1], e[..., 1:-1, 1:-1]
 
 
@@ -152,37 +159,42 @@ def sigma_map(kgen, k):
     return delta_y_z(mat_exp(kgen), k).y + 4.0 * _beta_function(kgen)
 
 
-def _squared_lift(kgen, k):
-    """Lift of e^K: the lift of e^{K/2^s} squared s times with ``mp_multiply``.
+def _squared_lift(x, k):
+    """Lift (M, z, Psi) of e^X, X an affine generator as ``_affine_generator``
+    builds it: the lift of e^{X/2^s} squared s times with ``ig_multiply``.
 
-    s >= 0 is the least with ||K / 2^s||_2 <= 1/4.  There ||C - I|| < 0.3, so
-    psi = e^{(i/2) Im Tr log C} (the sum of principal eigenvalue angles, right
-    for any N, unlike the principal root of det C) is the branch continuous
-    from the identity.  Every square e^{K/2^j} (j >= 1) needs an invertible C,
-    because the cocycle reads its Z map; otherwise a ``NumericalDomainError``
-    is raised and no branch is guessed.
+    s >= 0 is the least with ||K / 2^s||_2 <= 1/4, K the middle block of X.
+    The blocks (theta, z, M) of e^{X/2^s} give Psi = psi e^{-i(theta +
+    gamma(M, z))}.  There ||C - I|| < 0.3, so psi = e^{(i/2) Im Tr log C}
+    (the sum of principal eigenvalue angles, right for any N, unlike the
+    principal root of det C) is the branch continuous from the identity.
+    Every square e^{X/2^j} (j >= 1) needs an invertible C, because the
+    cocycle reads its Z map; otherwise a ``NumericalDomainError`` is raised
+    and no branch is guessed.
     """
-    norm = np.linalg.norm(kgen, 2)
+    norm = np.linalg.norm(x[1:-1, 1:-1], 2)
     s = int(np.ceil(np.log2(norm / _SQUARING_NORM))) if norm > _SQUARING_NORM else 0
-    m = mat_exp(kgen / 2.0 ** s)
-    lifted = LiftedSymplectic(m=m, psi=np.exp(0.5j * imag_trace_log(split_cd(m, k)[0])), k=k)
+    e = mat_exp(x / 2.0 ** s)
+    theta, z, m = e[0, -1], e[1:-1, -1], e[1:-1, 1:-1]
+    angle = 0.5 * imag_trace_log(split_cd(m, k)[0]) - theta - gamma_phase(m, z, k)
+    lifted = LiftedGaussian(m=m, z=z, psi=np.exp(1j * angle), k=k)
     for _ in range(s):
-        lifted = mp_multiply(lifted, lifted)
+        lifted = ig_multiply(lifted, lifted)
     return lifted
 
 
 def vacuum_phase_tracked(kgen, k):
-    """Measured vacuum phase of e^{K-hat} by scaling and squaring in the double cover.
+    """Measured vacuum phase of e^{K-hat} by scaling and squaring (``_squared_lift``).
 
-    The lift of e^K from ``_squared_lift`` gives psi* for bosons and psi for
-    fermions.  The name says which phase this is: the one that continuous
-    tracking along t -> e^{tK} from +1 at t = 0 defines, which squaring
-    reaches exactly without a grid.
+    The lift of e^K from ``_squared_lift`` (of X with K as its only block)
+    gives Psi* for bosons and Psi for fermions.  The name says which phase
+    this is: the one that continuous tracking along t -> e^{tK} from +1 at
+    t = 0 defines, which squaring reaches exactly without a grid.
     """
     kgen = _as_square(_shaped(kgen, (k.dim, k.dim), "generator"), "generator")
     if not kgen.any():
         return 1.0 + 0.0j
-    lifted = _squared_lift(kgen, k)
+    lifted = _squared_lift(np.pad(kgen, 1), k)
     return complex(np.conj(lifted.psi) if k.species is Species.BOSON else lifted.psi)
 
 
@@ -245,39 +257,24 @@ def vacuum_phase_stable(kgen, k):
     return complex(np.exp(1j * arg))
 
 
-def _lift_parts(ham, k):
-    """(theta, z, S) with e^{-iH} = e^{i theta} D(z) S, S a ``LiftedSymplectic``.
-
-    S is the lift of e^K from ``_squared_lift``, formed first so that a
-    refused input is refused by the squaring; theta and z come from
-    ``_affine_exp``.
-    """
+def lift_from_gqh(ham, k):
+    """Lift e^{-iH} for a bosonic H = (h, f, c) to its triple (M, z, Psi)."""
     if ham.species is not Species.BOSON or k.species is not Species.BOSON:
         raise InputError("generator lifting covers bosons")
     _shaped(ham.h, (k.dim, k.dim), "h")
-    lifted = _squared_lift(k.omega @ ham.h, k)
-    theta, z, _ = _affine_exp(ham, k)
-    return theta, z, lifted
-
-
-def lift_from_gqh(ham, k):
-    """Lift e^{-iH} for a bosonic H = (h, f, c) to its triple (M, z, Psi)."""
-    return ig_from_parts(*_lift_parts(ham, k))
+    return _squared_lift(_affine_generator(ham, k), k)
 
 
 def gqh_overlap_analytic(ham, k):
     """Full complex <0| e^{-iH} |0>: measured phase times closed-form modulus.
 
-    From the parts e^{i theta} D(z) S of ``lift_from_gqh``: the phase is Psi*
-    as ``ig_from_parts`` forms it, the modulus sqrt(e^{-z g (I + Y_M) z / 2} /
-    |complex_det(C_M)|), and one Y_M serves gamma and the modulus.
+    The phase is Psi* of ``lift_from_gqh``, the modulus
+    sqrt(e^{-z g (I + Y_M) z / 2} / |complex_det(C_M)|); a zero z forms no
+    Y_M.
     """
-    theta, z, lifted = _lift_parts(ham, k)
-    gamma = zq = 0.0
-    if np.any(z):
-        y = delta_y_z(lifted.m, k).y
-        gamma = _gamma(y, z, k)
-        zq = 0.5 * z @ k.metric_inv @ (z + y @ z)
-    c_part, _ = split_cd(lifted.m, k)
-    modulus = np.sqrt(np.exp(-zq) / abs(complex_det(c_part)))
-    return modulus * np.conj(lifted.psi * np.exp(-1j * (theta + gamma)))
+    u = lift_from_gqh(ham, k)
+    zq = 0.0
+    if np.any(u.z):
+        zq = 0.5 * u.z @ k.metric_inv @ (u.z + delta_y_z(u.m, k).y @ u.z)
+    modulus = np.sqrt(np.exp(-zq) / abs(complex_det(split_cd(u.m, k)[0])))
+    return modulus * np.conj(u.psi)

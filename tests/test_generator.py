@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from gausslift.errors import (
     NumericalDomainError,
     SpectrumOnCutError,
 )
+from gausslift import matfunc
 from gausslift.generator import _affine_exp, _beta_function
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -422,6 +425,63 @@ class TestLiftFromGQH:
             quad = 0.25 * z @ k.omega_inv @ (sigma_map(kgen, k) @ z)
             closed = np.conj(vacuum_phase_tracked(kgen, k)) * np.exp(1j * (ham.c - quad))
             assert abs(wrap_angle(np.angle(lifted.psi) - np.angle(closed))) < 1e-10
+
+    @pytest.mark.parametrize("call", [lift_from_gqh, gqh_overlap_analytic],
+                             ids=["lift_from_gqh", "gqh_overlap_analytic"])
+    def test_one_exponential_per_call(self, monkeypatch, k2, call):
+        # theta, z and M of e^{-iH/2^s} come from one exponential, and the
+        # squaring forms the rest of the triple with the group law
+        calls = []
+        exp = matfunc.mat_exp
+
+        def counted(a):
+            calls.append(np.shape(a))
+            return exp(a)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("gausslift") and getattr(module, "mat_exp", None) is exp:
+                monkeypatch.setattr(module, "mat_exp", counted)
+        ham = QuadraticHamiltonian(h=3.0 * np.eye(4), f=np.ones(4), c=0.5)
+        call(ham, k2)
+        assert calls == [(6, 6)]
+
+    @staticmethod
+    def _seeded_hamiltonian(seed, n_modes, unstable):
+        """A seeded H whose K = Omega h has only imaginary eigenvalues (stable)
+        or an eigenvalue with real part above 0.3 (unstable)."""
+        rng = np.random.default_rng([seed, n_modes, unstable])
+        n2 = 2 * n_modes
+        omega = standard_kahler(n_modes).omega
+        while True:
+            a = rng.standard_normal((n2, n2))
+            h = (a + a.T) / 2.0 if unstable else a @ a.T / n2 + 0.1 * np.eye(n2)
+            h *= rng.uniform(0.5, 3.0) / np.linalg.norm(h, 2)
+            if not unstable or np.max(np.linalg.eigvals(omega @ h).real) > 0.3:
+                return QuadraticHamiltonian(h=h, f=rng.standard_normal(n2),
+                                            c=rng.uniform(-np.pi, np.pi))
+
+    @pytest.mark.parametrize("unstable", [False, True], ids=["stable", "unstable"])
+    @pytest.mark.parametrize("n_modes", [1, 2, 4])
+    def test_squared_triple_matches_the_affine_exponential(self, n_modes, unstable):
+        # squaring (M, z, Psi) with the group law reaches the M and z that
+        # one exponential of the whole generator gives
+        k = standard_kahler(n_modes)
+        for seed in range(5):
+            ham = self._seeded_hamiltonian(seed, n_modes, unstable)
+            lifted = lift_from_gqh(ham, k)
+            _, z, m = _affine_exp(ham, k)
+            assert np.max(np.abs(lifted.m - m)) <= 1e-12 * np.max(np.abs(m))
+            assert np.max(np.abs(lifted.z - z)) <= 1e-12 * np.max(np.abs(z))
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 4])
+    def test_vacuum_phase_is_the_lift_of_the_quadratic_part(self, n_modes):
+        # both run one engine on the same generator, so they agree exactly
+        k = standard_kahler(n_modes)
+        for unstable in (False, True):
+            for seed in range(5):
+                h = self._seeded_hamiltonian(seed, n_modes, unstable).h
+                lifted = lift_from_gqh(QuadraticHamiltonian(h=h), k)
+                assert vacuum_phase_tracked(k.omega @ h, k) == np.conj(lifted.psi)
 
     def test_representation_property(self, rng, k1):
         # the lift is a homomorphism: lift(H1) lift(H2) realizes U1 U2 in all
