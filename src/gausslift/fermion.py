@@ -21,9 +21,9 @@ REFLECTION_NORM_TOL = 1e-12
 SO_GENERATOR_TOL = 1e-10
 
 
-def _reflection_array(w, k):
-    """``w`` as a float array, refused unless it is a finite vector of length 2N."""
-    w = _shaped(w, (k.dim,), "reflection vector")
+def _reflection_array(w, dim):
+    """``w`` as a float array, refused unless it is a finite vector of length ``dim``."""
+    w = _shaped(w, (dim,), "reflection vector")
     if not np.all(np.isfinite(w)):
         raise InputError("reflection vector must be finite")
     return w
@@ -38,7 +38,7 @@ def reference_reflection(k):
 
 def normalize_reflection(w, k):
     """Rescale the reflection vector w to satisfy w G w = 2."""
-    w = _reflection_array(w, k)
+    w = _reflection_array(w, k.dim)
     norm = float(w @ k.metric @ w)
     if norm <= 0.0:
         raise InputError("reflection vector must have positive metric norm")
@@ -50,7 +50,7 @@ def mw_reflection(w, k):
     orthogonal, det = -1, involutive."""
     if k.species is not Species.FERMION:
         raise InputError("reflections belong to the fermionic component")
-    w = _reflection_array(w, k)
+    w = _reflection_array(w, k.dim)
     if not np.any(w):
         raise InputError("zero vector generates no reflection")
     norm = float(w @ k.metric @ w)
@@ -182,8 +182,9 @@ class MajoranaRep:
         return out
 
     def linear_operator(self, w):
-        """w_a xi^a, the reflection operator for a normalized w."""
-        w = np.asarray(w, dtype=float)
+        """w_a xi^a, the reflection operator for a normalized w; w is checked
+        as a reflection vector is."""
+        w = _reflection_array(w, 2 * self.n_modes)
         out = np.zeros((self.dim, self.dim), dtype=complex)
         for a, wa in enumerate(w):
             if wa != 0.0:

@@ -11,9 +11,12 @@ imports scipy.
 Every state comes from one routine, ``_Evolution.apply(t, vec)``, of an
 evolution that ``FockRep._evolution`` gives (and refuses for fermions): U|0>
 is the vacuum evolved by U, and U1 U2|0> is U2|0> evolved by U1.  It takes
-one time or a 1-D array of times; for an array, states are stacked one row
-per time, and a time sweep costs one product per state instead of one per
-time.  Every vacuum amplitude is read off an evolved state (its first entry).
+one time or a 1-D array of times, and refuses a non-finite one; for an
+array, states are stacked one row per time, and a time sweep costs one
+product per state instead of one per time.  The single-state functions
+(``vacuum_amplitude_gqh``, ``mean_excitation``, ``truncation_reliable``)
+take one time.  Every vacuum amplitude is read off an evolved state (its
+first entry).
 This module is the independent truth source the analytic phase formulas are
 verified against; it must not import any of them (the analytic number
 expectation below uses only group-level data).
@@ -140,8 +143,12 @@ class _Evolution:
             self._w, self._v = np.linalg.eigh(self.matrix)
 
     def apply(self, t, vec):
-        """e^{-i H t} vec; for a 1-D ``t``, ``vec`` is one vector or one row per time."""
+        """e^{-i H t} vec; for a 1-D ``t``, ``vec`` is one vector or one row per time.
+        A non-finite time raises ``InputError``."""
         t = np.asarray(t)
+        finite = np.isfinite(t)
+        if not finite.all():
+            raise InputError(f"oracle times must be finite, got {t[~finite][0]}")
         if self.rep.dense:
             phases = np.exp(-1j * self._w * t[..., None])
             return _rows(self._v, phases * _rows(self._v.conj().T, vec))
@@ -178,9 +185,16 @@ def _amplitude_error(amps, names=()):
     return None
 
 
+def _evolved_vacuum(ham, t, rep):
+    """e^{-i H t}|0> at one time ``t``; an array of times raises ``InputError``."""
+    if np.ndim(t):
+        raise InputError(f"one time expected, got shape {np.shape(t)}")
+    return rep._evolution(ham).apply(t, rep.vacuum)
+
+
 def vacuum_amplitude_gqh(ham, t, rep):
     """<0| e^{-i H t} |0> on the truncated space."""
-    amp = complex(rep._evolution(ham).apply(t, rep.vacuum)[..., 0])
+    amp = complex(_evolved_vacuum(ham, t, rep)[0])
     error = _amplitude_error([amp])
     if error is not None:
         raise error
@@ -199,7 +213,7 @@ def _excitation(rep, psi):
 
 def mean_excitation(ham, t, rep):
     """<n_total> of e^{-i H t}|0>; the truncation health indicator."""
-    return float(_excitation(rep, rep._evolution(ham).apply(t, rep.vacuum)))
+    return float(_excitation(rep, _evolved_vacuum(ham, t, rep)))
 
 
 def truncation_reliable(ham, t, rep):
@@ -216,7 +230,8 @@ class _PairOracle:
     U1 U2|0> are each evolved once, and only their vacuum amplitudes and mean
     excitations are kept.  ``zeta`` raises what ``zeta_numeric`` raises at the
     first time where it would raise; ``number`` and ``reliable`` raise only
-    the species refusal of ``FockRep._evolution``.
+    the refusals of ``FockRep._evolution`` (species) and ``_Evolution.apply``
+    (a non-finite time).
     """
 
     def __init__(self, ham1, ham2, t, rep):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
@@ -258,6 +260,45 @@ class TestPairOracle:
         with pytest.raises(InputError) as exc:
             call(fermion, boson, build_fock(1, 10))
         assert type(exc.value) is InputError and str(exc.value) == "the Fock oracle is bosonic"
+
+    _SINGLE = [
+        lambda ham, t, rep: vacuum_amplitude_gqh(ham, t, rep),
+        lambda ham, t, rep: mean_excitation(ham, t, rep),
+        lambda ham, t, rep: truncation_reliable(ham, t, rep),
+    ]
+    _PAIR = [
+        lambda ham, t, rep: zeta_numeric(ham, ham, t, rep),
+        lambda ham, t, rep: number_expectation(ham, ham, t, rep),
+        lambda ham, t, rep: truncation_reliable_pair(ham, ham, t, rep),
+    ]
+    _SINGLE_IDS = ["vacuum_amplitude_gqh", "mean_excitation", "truncation_reliable"]
+    _PAIR_IDS = ["zeta_numeric", "number_expectation", "truncation_reliable_pair"]
+
+    @staticmethod
+    def _refusal(call, t):
+        """The InputError message of ``call`` at time(s) ``t``; no warning first."""
+        ham = QuadraticHamiltonian(h=FIG2_STABLE[0], f=FIG2_F)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError) as exc:
+                call(ham, t, build_fock(1, 10))
+        assert type(exc.value) is InputError
+        return str(exc.value)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("call", _SINGLE + _PAIR, ids=_SINGLE_IDS + _PAIR_IDS)
+    def test_every_public_function_refuses_a_non_finite_time(self, call, t):
+        assert self._refusal(call, t) == f"oracle times must be finite, got {t}"
+
+    @pytest.mark.parametrize("call", _PAIR, ids=_PAIR_IDS)
+    def test_pair_functions_refuse_a_non_finite_time_in_an_array(self, call):
+        message = self._refusal(call, np.array([0.5, 1.0, np.nan]))
+        assert message == "oracle times must be finite, got nan"
+
+    @pytest.mark.parametrize("call", _SINGLE, ids=_SINGLE_IDS)
+    def test_single_state_functions_take_one_time(self, call):
+        message = self._refusal(call, np.array([0.5, 1.0]))
+        assert message == "one time expected, got shape (2,)"
 
     def test_vanishing_product_amplitude_raises_only_for_zeta(self):
         # |<0|D(z)|0>| = e^{-|z|^2/4}: 1.2e-4 for each factor, 2.3e-16 for the product

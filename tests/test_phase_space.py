@@ -257,6 +257,12 @@ class TestOperandShape:
             (lambda: so_generator(2 * np.eye(2)), InputError, "matrix is not orthogonal"),
             (lambda: MajoranaRep(1).quadratic_operator(np.eye(2)), InputError,
              "fermionic h must be antisymmetric"),
+            (lambda: MajoranaRep(1).linear_operator(np.ones(1)), InputError,
+             "reflection vector must have shape (2,), got (1,)"),
+            (lambda: MajoranaRep(1).linear_operator(np.array([1.0, 0.0, 2.0])), InputError,
+             "reflection vector must have shape (2,), got (3,)"),
+            (lambda: MajoranaRep(1).linear_operator(np.array([np.nan, 1.0])), InputError,
+             "reflection vector must be finite"),
         ],
         ids=["lift_from_gqh", "gqh_overlap_analytic", "vacuum_phase_tracked", "mw_reflection",
              "normalize_reflection", "delta_y_z", "zeta_cocycle", "zeta_cocycle-z2",
@@ -265,7 +271,8 @@ class TestOperandShape:
              "displacement-phase-nan", "displacement_to_gaussian-fermion",
              "hamiltonian-odd-h", "lift_from_gqh-fermion", "pin_component_phase-boson",
              "normalize_reflection-zero", "so_generator-not-orthogonal",
-             "quadratic_operator-symmetric"],
+             "quadratic_operator-symmetric", "linear_operator-short",
+             "linear_operator-long", "linear_operator-nan"],
     )
     def test_mismatched_operand_refused(self, call, error, message):
         with pytest.raises(error) as exc:
