@@ -105,8 +105,9 @@ def zeta_cocycle(m1, z1, m2, z2, k):
 
     with eta as in ``cocycle_eta`` (for fermions its Pfaffian root).  One
     ``delta_y_z`` call forms the maps of M1 (Z and Y), M2 (Y, for eta and
-    gamma) and, if z1 + M1 z2 is nonzero, M1 M2.  Takes stacks of operands
-    (leading axes) and then returns one value per element.
+    gamma; the same array as M1 for a square, whose maps it forms once) and,
+    if z1 + M1 z2 is nonzero, M1 M2.  Takes stacks of operands (leading axes)
+    and then returns one value per element.
     Unreduced; wrap only in comparisons.
     """
     return _zeta_parts(m1, z1, m2, z2, k)[0]
@@ -126,22 +127,23 @@ def _zeta_parts(m1, z1, m2, z2, k):
     stack = m12.shape[:-2]
     if shifted.shape != stack:
         stack = np.broadcast_shapes(stack, shifted.shape)
-    # per element the maps of M1, M2 and, if z1 + M1 z2 is nonzero, M1 M2,
-    # as one stack in row order; an element with z1 + M1 z2 = 0 takes I in
-    # place of M1 M2, which cannot fail
-    mats = np.empty(stack + (3 if _any(shifted) else 2, k.dim, k.dim))
-    mats[..., 0, :, :] = m1
-    mats[..., 1, :, :] = m2
+    # per element the maps of M1, M2 (unless M2 is M1, a square) and, if
+    # z1 + M1 z2 is nonzero, M1 M2, as one stack in row order; an element
+    # with z1 + M1 z2 = 0 takes I in place of M1 M2, which cannot fail
+    factors = [m1] if m2 is m1 else [m1, m2]
+    mats = np.empty(stack + (len(factors) + _any(shifted), k.dim, k.dim))
+    for i, m in enumerate(factors):
+        mats[..., i, :, :] = m
     if _any(shifted):
-        mats[..., 2, :, :] = m12
+        mats[..., -1, :, :] = m12
         if _any(~shifted):
-            mats[np.broadcast_to(~shifted, stack), 2] = np.eye(k.dim)
+            mats[np.broadcast_to(~shifted, stack), -1] = np.eye(k.dim)
     maps = delta_y_z(mats, k)
-    y2 = maps.y[..., 1, :, :]
+    y2 = maps.y[..., len(factors) - 1, :, :]
     zeta = 0.5 * _eta_from_maps(maps.z[..., 0, :, :], y2, k)
     zeta += _gamma(maps.y[..., 0, :, :], z1, k) + _gamma(y2, z2, k)
     if _any(shifted):
-        zeta -= _gamma(maps.y[..., 2, :, :], z12, k)
+        zeta -= _gamma(maps.y[..., -1, :, :], z12, k)
     zeta -= 0.5 * k.omega_bilinear(z1, m1z2)
     return zeta, m12, z12
 

@@ -261,11 +261,7 @@ class TestPairOracle:
             call(fermion, boson, build_fock(1, 10))
         assert type(exc.value) is InputError and str(exc.value) == "the Fock oracle is bosonic"
 
-    _SINGLE = [
-        lambda ham, t, rep: vacuum_amplitude_gqh(ham, t, rep),
-        lambda ham, t, rep: mean_excitation(ham, t, rep),
-        lambda ham, t, rep: truncation_reliable(ham, t, rep),
-    ]
+    _SINGLE = [vacuum_amplitude_gqh, mean_excitation, truncation_reliable]
     _PAIR = [
         lambda ham, t, rep: zeta_numeric(ham, ham, t, rep),
         lambda ham, t, rep: number_expectation(ham, ham, t, rep),
