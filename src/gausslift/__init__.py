@@ -42,7 +42,6 @@ from .inhomogeneous import (
     displacement_to_gaussian,
     gamma_phase,
     ig_decompose,
-    ig_from_parts,
     ig_identity,
     ig_inverse,
     ig_multiply,

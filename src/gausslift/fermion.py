@@ -2,23 +2,28 @@
 
 The det = -1 component of the orthogonal group is reached through a fixed
 reflection M_w; its lifted phase is defined as the phase of the det = +1
-remainder M_w M.  The 2^N-dimensional Majorana representation below is the
-ground truth for the fermionic circle-function convention (no conjugation:
-the measured vacuum phase of e^{K-hat} squares to complex_det(C_{e^K})).
+remainder M_w M: the vacuum phase of e^{K-hat}, K = ``so_generator(M)`` the principal
+logarithm, whose sign is undefined on its half-turn cut (refused within ``SO_CUT_BAND``).
+The 2^N-dimensional Majorana representation below is the ground truth for the
+fermionic circle-function convention (no conjugation: the measured vacuum
+phase of e^{K-hat} squares to complex_det(C_{e^K})).
 """
 
 import numpy as np
 
-from .errors import InputError, InvalidStructureError, NumericalDomainError
+from .errors import InputError, InvalidStructureError, NumericalDomainError, SpectrumOnCutError
 from .generator import vacuum_phase_tracked
 from .matfunc import _as_square, mat_exp
-from .phase_space import GROUP_RESIDUAL_TOL, Species, _shaped, validate_group_element
+from .phase_space import GROUP_RESIDUAL_TOL, Species, _count, _shaped, validate_group_element
 
 #: tolerance on the w G w = 2 normalization of a reflection vector
 REFLECTION_NORM_TOL = 1e-12
 
 #: max entry deviation of e^K from M accepted from the so_generator logarithm
 SO_GENERATOR_TOL = 1e-10
+
+#: so_generator refuses a rotation angle within this many radians of pi
+SO_CUT_BAND = 1e-6
 
 
 def _reflection_array(w, dim):
@@ -60,41 +65,30 @@ def mw_reflection(w, k):
 
 
 def so_generator(m):
-    """Antisymmetric K with e^K = M for special-orthogonal M.
+    """Principal logarithm K (antisymmetric, e^K = M) of a special-orthogonal M.
 
-    Real Schur reduction: rotation blocks give their angle generators, and the
-    (even number of) -1 eigenvalues are paired into half-turn planes.  The
-    real Schur form is scipy's (numpy has none), imported here so that the
-    bosonic path never loads scipy.
+    P = (M + M^T)/2 = V diag(cos theta) V^T commutes with S = (M - M^T)/2, so K =
+    R S R with R = f(P)^(1/2), f = theta / sin theta, theta = arctan2(|S v|, cos theta).
+    Splitting f around S keeps its large values near pi off the rounding that couples planes.
     """
-    import scipy.linalg
-
     m = _as_square(np.asarray(m, dtype=float), "M")
     n = m.shape[0]
+    if not n:
+        raise InputError("M must not be empty")
     if np.max(np.abs(m @ m.T - np.eye(n))) > GROUP_RESIDUAL_TOL:
         raise InputError("matrix is not orthogonal")
     if np.linalg.det(m) < 0:
         raise InputError("matrix has det = -1; no special-orthogonal generator")
-    t, q = scipy.linalg.schur(m, output="real")
-    k = np.zeros((n, n))
-    minus_ones = []
-    i = 0
-    while i < n:
-        if i + 1 < n and abs(t[i + 1, i]) > 1e-10:
-            theta = np.arctan2(t[i, i + 1], t[i, i])
-            k[i, i + 1] = theta
-            k[i + 1, i] = -theta
-            i += 2
-        else:
-            if t[i, i] < 0:
-                minus_ones.append(i)
-            i += 1
-    if len(minus_ones) % 2:
-        raise NumericalDomainError("odd count of -1 eigenvalues on a det = +1 element")
-    for a, b in zip(minus_ones[::2], minus_ones[1::2]):
-        k[a, b] = np.pi
-        k[b, a] = -np.pi
-    gen = q @ k @ q.T
+    s = (m - m.T) / 2.0
+    cos, v = np.linalg.eigh((m + m.T) / 2.0)
+    sin = np.linalg.norm(s @ v, axis=0)
+    theta = np.arctan2(sin, cos)
+    if np.pi - theta.max() < SO_CUT_BAND:
+        raise SpectrumOnCutError(f"rotation angle {theta.max():.10g} lies within "
+                                 f"{SO_CUT_BAND:g} of pi", eigenvalue=np.exp(1j * theta.max()))
+    f = np.divide(theta, sin, out=np.ones(n), where=sin > 0)
+    r = (v * np.sqrt(f)) @ v.T
+    gen = r @ s @ r
     gen = (gen - gen.T) / 2.0
     if np.max(np.abs(mat_exp(gen) - m)) > SO_GENERATOR_TOL:
         raise NumericalDomainError("special-orthogonal logarithm failed to reproduce M")
@@ -132,6 +126,7 @@ class MajoranaRep:
     """
 
     def __init__(self, n_modes):
+        n_modes = _count(n_modes, "n_modes")
         if not 1 <= n_modes <= 5:
             raise InputError("fermionic oracle supports 1 to 5 modes")
         self.n_modes = n_modes

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import InputError, NumericalDomainError, PhaseUndefinedError, SizeGuardError
 from .matfunc import _row_order_errors, _scalar, wrap_angle
-from .phase_space import Species, _shaped
+from .phase_space import Species, _count, _shaped
 
 #: hard guard on the truncated dimension (n_max + 1)^N
 DENSE_GUARD = 4096
@@ -58,6 +58,7 @@ class FockRep:
     """
 
     def __init__(self, n_modes, n_max):
+        n_modes, n_max = _count(n_modes, "n_modes"), _count(n_max, "n_max")
         if n_modes < 1 or n_max < 1:
             raise InputError("need at least one mode and a positive cutoff")
         dim = (n_max + 1) ** n_modes

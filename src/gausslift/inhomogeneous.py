@@ -167,13 +167,6 @@ def ig_decompose(u):
     return theta, u.z.copy(), lifted
 
 
-def ig_from_parts(theta, z, lifted):
-    """Rebuild the lifted triple from (theta, z, (M, psi))."""
-    gamma = gamma_phase(lifted.m, z, lifted.k)
-    psi = lifted.psi * np.exp(-1j * (theta + gamma))
-    return LiftedGaussian(m=lifted.m, z=np.asarray(z, dtype=float), psi=psi, k=lifted.k)
-
-
 def ig_inverse(u):
     """Group inverse (M^{-1}, -M^{-1} z, Psi*), since <0|U^{-1}|0> = conj <0|U|0>:
     eta(M, M^{-1}) = 0 and the gamma terms cancel, so no Z map (and no
@@ -189,7 +182,6 @@ __all__ = [
     "displacement_to_gaussian",
     "gamma_phase",
     "ig_decompose",
-    "ig_from_parts",
     "ig_identity",
     "ig_inverse",
     "ig_multiply",

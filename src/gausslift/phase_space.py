@@ -5,7 +5,9 @@ The squeeze maps Z_M and Y_M are formed only here, both by ``delta_y_z``,
 which takes a stack of group elements as ``matfunc.mat_exp`` does.
 """
 
+import contextlib
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -48,6 +50,7 @@ class KahlerStructure:
     metric_inv: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "n_modes", _count(self.n_modes, "n_modes"))
         if self.n_modes < 1:
             raise InputError("mode count must be positive")
         omega = standard_symplectic_form(self.n_modes)
@@ -73,6 +76,15 @@ class KahlerStructure:
         or of each pair of two stacks of vectors (leading axes)."""
         z1, z2 = np.asarray(z1), np.asarray(z2)
         return _scalar((z1[..., None, :] @ self.omega_inv @ z2[..., :, None])[..., 0, 0])
+
+
+def _count(value, name):
+    """``value`` as an int, refused with ``InputError`` naming ``name`` unless
+    ``operator.index`` takes it and it is no bool: the one check of every count."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise InputError(f"{name} must be an integer, got {value!r}")
 
 
 def standard_symplectic_form(n_modes):

@@ -208,7 +208,7 @@ class TestErrorPaths:
         assert run(["verify", "--input", write_doc(tmp_path, doc)]) == 2
 
     def test_numerical_domain_exits_three(self, tmp_path, capsys):
-        # half-turn plane rotation sits on the fermionic singular stratum
+        # M_w M is a half turn, on the cut of the orthogonal logarithm
         doc = {
             "species": "fermion",
             "N": 2,
@@ -605,6 +605,31 @@ class TestSweepTime:
         assert "zeta_numeric_nmax12" in header and "nmax20" not in header
 
 
+def scipy_modules_loaded(tmp_path, argv, input_path):
+    """[exit code, scipy modules after ``import gausslift.cli``, scipy modules
+    after the command] of one CLI run in a fresh interpreter: this suite
+    imports scipy itself, so only a fresh interpreter shows which modules the
+    CLI import and the command load."""
+    code = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        "import gausslift.cli\n"
+        "after_import = scipy_modules()\n"
+        "code = gausslift.cli.main(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, after_import, scipy_modules()]))\n"
+    )
+    argv = argv + ["--input", str(input_path), "--out", str(tmp_path / "out")]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argv)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
 class TestBosonicCommandsLoadNoScipy:
     """The bosonic path runs in numpy alone: no command loads a scipy module."""
 
@@ -624,26 +649,25 @@ class TestBosonicCommandsLoadNoScipy:
         ids=["fig2-sweep-time", "lift", "compose", "phase", "verify", "sweep-grid"],
     )
     def test_command_loads_no_scipy(self, tmp_path, argv, doc):
-        # this suite imports scipy itself, so only a fresh interpreter shows
-        # which modules the CLI import and the command load
-        code = (
-            "import json, sys\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.startswith('scipy'))\n"
-            "import gausslift.cli\n"
-            "after_import = scipy_modules()\n"
-            "code = gausslift.cli.main(json.loads(sys.argv[1]))\n"
-            "print(json.dumps([code, after_import, scipy_modules()]))\n"
-        )
-        argv = argv + ["--input", write_doc(tmp_path, doc), "--out", str(tmp_path / "out")]
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-c", code, json.dumps(argv)],
-            capture_output=True, text=True, env=env, check=True,
-        )
-        assert json.loads(proc.stdout) == [0, [], []]
+        assert scipy_modules_loaded(tmp_path, argv, write_doc(tmp_path, doc)) == [0, [], []]
+
+
+class TestFermionicCommandsLoadNoScipy:
+    """The fermionic path runs in numpy alone too: ``so_generator`` is a numpy
+    logarithm, and the Majorana oracle exponentiates with ``mat_exp``."""
+
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["fermion"], "fermion_m_w_hamiltonians.json"),
+            (["fermion"], "fermion_det_minus_one.json"),
+            (["phase"], "fermion_m_w_hamiltonians.json"),
+        ],
+        ids=["fermion-m-w-hamiltonians", "fermion-det-minus-one", "phase-fermion"],
+    )
+    def test_command_loads_no_scipy(self, tmp_path, argv, name):
+        path = Path(__file__).resolve().parent / "data" / "cli" / name
+        assert scipy_modules_loaded(tmp_path, argv, path) == [0, [], []]
 
 
 class TestSweepGrid:

@@ -21,8 +21,13 @@ from gausslift import (
     wrap_angle,
     zeta_cocycle,
 )
-from gausslift.errors import InputError, InvalidStructureError, UnitarilyOrthogonalError
-from gausslift.fermion import normalize_reflection
+from gausslift.errors import (
+    InputError,
+    InvalidStructureError,
+    SpectrumOnCutError,
+    UnitarilyOrthogonalError,
+)
+from gausslift.fermion import SO_CUT_BAND, normalize_reflection
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -63,6 +68,21 @@ class TestMwReflection:
             mw_reflection(np.array([np.sqrt(2.0), 0.0]), k1)
 
 
+def plane_generator(n2, q, angles):
+    """Q blockdiag(angle_j [[0, 1], [-1, 0]]) Q^T: rotation angle_j in the plane
+    of columns 2j, 2j + 1 of the orthogonal Q."""
+    gen = np.zeros((n2, n2))
+    for j, angle in enumerate(angles):
+        gen[2 * j, 2 * j + 1], gen[2 * j + 1, 2 * j] = angle, -angle
+    return q @ gen @ q.T
+
+
+def unit_path(rng, n2):
+    """Q(s) = e^{sA} for a seeded antisymmetric A with ||A||_2 = 1."""
+    a = random_antisymmetric(rng, n2)
+    return lambda s: mat_exp(s * a)
+
+
 class TestSoGenerator:
     def test_round_trip(self, rng):
         for n2 in (2, 4, 6):
@@ -70,11 +90,62 @@ class TestSoGenerator:
             gen = so_generator(m)
             np.testing.assert_allclose(gen, -gen.T, atol=1e-12)
             np.testing.assert_allclose(mat_exp(gen), m, atol=1e-9)
+        # the band's calibration: a largest angle of pi - 2 band still passes
+        # the SO_GENERATOR_TOL reproduction check (the other planes stay clear
+        # of the cut: two planes near it are not told apart by the eigh of P)
+        for n2 in (2, 4, 6, 8, 10):
+            for _ in range(40):
+                angles = rng.uniform(0.0, 3.0, n2 // 2)
+                angles[0] = np.pi - 2 * SO_CUT_BAND
+                q = np.linalg.qr(rng.standard_normal((n2, n2)))[0]
+                m = mat_exp(plane_generator(n2, q, angles))
+                gen = so_generator(m)
+                np.testing.assert_allclose(gen, -gen.T, atol=1e-12)
+                assert np.linalg.norm(gen, 2) == pytest.approx(angles[0], abs=1e-8)
 
-    def test_half_turn_pairing(self):
-        m = np.diag([-1.0, -1.0, 1.0, 1.0])
-        gen = so_generator(m)
-        np.testing.assert_allclose(mat_exp(gen), m, atol=1e-10)
+    def test_matches_logm_reference(self, rng):
+        # scipy's Schur-based logm, for 850 elements with ||K||_2 up to 3.1
+        for n2 in (2, 4, 6, 8, 10):
+            for _ in range(170):
+                m = random_so(rng, n2, scale=rng.uniform(0.01, 3.1))
+                ref = np.real_if_close(scipy.linalg.logm(m))
+                assert np.isrealobj(ref)
+                tol = 1e-12 * max(1.0, np.linalg.norm(ref, 2))
+                np.testing.assert_allclose(so_generator(m), ref, rtol=0, atol=tol)
+
+    @pytest.mark.parametrize("half_turns", [1, 2], ids=["2-dim", "4-dim"])
+    def test_on_cut_paths_refused(self, rng, half_turns):
+        # on the cut the principal logarithm is not unique: every point of
+        # Q(s) M0 Q(s)^T, s in [0, 2], N = 3, with a 2 or 4-dim -1 eigenspace
+        angles = [np.pi] * half_turns + [0.7] * (3 - half_turns)
+        m0 = mat_exp(plane_generator(6, np.eye(6)[:, [0, 3, 1, 4, 2, 5]], angles))
+        path = unit_path(rng, 6)
+        for s in np.linspace(0.0, 2.0, 201):
+            q = path(s)
+            with pytest.raises(SpectrumOnCutError):
+                so_generator(q @ m0 @ q.T)
+        with pytest.raises(SpectrumOnCutError):
+            so_generator(np.diag([-1.0, -1.0, 1.0, 1.0]))
+
+    @pytest.mark.parametrize("plane", [(0, 3), (0, 1)], ids=["q1-p1", "q1-q2"])
+    def test_pin_phase_next_to_cut_matches_oracle(self, rng, plane):
+        # a half turn at 2 band from the cut, moved along Q(s); the oracle
+        # exponentiates the exact generator Q(s) K0 Q(s)^T, not so_generator's
+        k = standard_kahler(3, Species.FERMION)
+        rep = build_majorana(3)
+        order = [plane[0], plane[1]] + [i for i in range(6) if i not in plane]
+        k0 = plane_generator(6, np.eye(6)[:, order], [np.pi - 2 * SO_CUT_BAND, 0.4, 1.1])
+        m0 = mat_exp(k0)
+        path = unit_path(rng, 6)
+        checked = 0
+        for s in np.linspace(0.0, 2.0, 201):
+            q = path(s)
+            amp = fermion_vacuum_amplitude(q @ k0 @ q.T, rep)
+            if abs(amp) > 1e-6:
+                phase = pin_component_phase(q @ m0 @ q.T, reference_reflection(k), k)
+                assert abs(phase - amp / abs(amp)) < 1e-8
+                checked += 1
+        assert checked > 100
 
     def test_reflection_rejected(self):
         with pytest.raises(InputError):
@@ -89,6 +160,7 @@ class TestSoGenerator:
              "M contains non-finite entries"),
             (so_generator, np.ones((3, 2)), InvalidStructureError,
              "M must be a square matrix, got shape (3, 2)"),
+            (so_generator, np.zeros((0, 0)), InputError, "M must not be empty"),
             (vacuum_phase_tracked, np.full((2, 2), np.nan), InvalidStructureError,
              "generator contains non-finite entries"),
             (vacuum_phase_tracked, np.diag([np.inf, 1.0]), InvalidStructureError,
@@ -97,7 +169,7 @@ class TestSoGenerator:
             (vacuum_phase_tracked, np.ones((3, 2)), InputError,
              "generator must have shape (2, 2), got (3, 2)"),
         ],
-        ids=["so_generator-nan", "so_generator-inf", "so_generator-3x2",
+        ids=["so_generator-nan", "so_generator-inf", "so_generator-3x2", "so_generator-empty",
              "vacuum_phase_tracked-nan", "vacuum_phase_tracked-inf",
              "vacuum_phase_tracked-3x2"],
     )

@@ -17,7 +17,6 @@ from gausslift import (
     displacement_to_gaussian,
     gamma_phase,
     ig_decompose,
-    ig_from_parts,
     ig_identity,
     ig_inverse,
     ig_multiply,
@@ -250,10 +249,12 @@ class TestDecomposeInverse:
         assert wrap_angle(theta) == pytest.approx(0.0, abs=1e-10)
 
     def test_round_trip(self, rng, k2):
+        # U = e^{i theta} D(z) S(M, psi), recomposed with the group law
         for _ in range(20):
             u = random_lifted(rng, k2)
             theta, z, lifted = ig_decompose(u)
-            rebuilt = ig_from_parts(theta, z, lifted)
+            squeeze = LiftedGaussian(m=lifted.m, z=np.zeros(4), psi=lifted.psi, k=k2)
+            rebuilt = ig_multiply(displacement_to_gaussian(Displacement(z, theta), k2), squeeze)
             np.testing.assert_allclose(rebuilt.m, u.m, atol=1e-12)
             np.testing.assert_allclose(rebuilt.z, u.z, atol=1e-12)
             assert rebuilt.psi == pytest.approx(u.psi, abs=1e-10)

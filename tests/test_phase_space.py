@@ -4,6 +4,8 @@ import pytest
 from gausslift import (
     QuadraticHamiltonian,
     Species,
+    build_fock,
+    build_majorana,
     cocycle_eta,
     delta_y_z,
     gamma_phase,
@@ -68,6 +70,12 @@ class TestStandardKahler:
         assert hash(KahlerStructure(n_modes=2)) == hash(k2)
         assert standard_kahler(1) != k2
         assert standard_kahler(2, Species.FERMION) != k2
+
+    def test_numpy_integer_counts_accepted(self, k2):
+        k = standard_kahler(np.int64(2))
+        assert k == k2 and type(k.n_modes) is int
+        assert build_fock(np.int32(1), np.int64(4)).dim == 5
+        assert build_majorana(np.int8(2)).n_modes == 2
 
     def test_matrices_read_only(self, k1):
         for name in ("omega", "metric", "j", "omega_inv", "metric_inv"):
@@ -263,6 +271,16 @@ class TestOperandShape:
              "reflection vector must have shape (2,), got (3,)"),
             (lambda: MajoranaRep(1).linear_operator(np.array([np.nan, 1.0])), InputError,
              "reflection vector must be finite"),
+            # mode counts and cutoffs are integers (numpy integers included), never bools
+            (lambda: standard_kahler(1.5), InputError, "n_modes must be an integer, got 1.5"),
+            (lambda: KahlerStructure(n_modes="2"), InputError,
+             "n_modes must be an integer, got '2'"),
+            (lambda: standard_kahler(True), InputError, "n_modes must be an integer, got True"),
+            (lambda: build_fock(1, 10.5), InputError, "n_max must be an integer, got 10.5"),
+            (lambda: build_fock(1.0, 10), InputError, "n_modes must be an integer, got 1.0"),
+            (lambda: build_fock(1, False), InputError, "n_max must be an integer, got False"),
+            (lambda: build_majorana(2.5), InputError, "n_modes must be an integer, got 2.5"),
+            (lambda: build_majorana(True), InputError, "n_modes must be an integer, got True"),
         ],
         ids=["lift_from_gqh", "gqh_overlap_analytic", "vacuum_phase_tracked", "mw_reflection",
              "normalize_reflection", "delta_y_z", "zeta_cocycle", "zeta_cocycle-z2",
@@ -272,7 +290,10 @@ class TestOperandShape:
              "hamiltonian-odd-h", "lift_from_gqh-fermion", "pin_component_phase-boson",
              "normalize_reflection-zero", "so_generator-not-orthogonal",
              "quadratic_operator-symmetric", "linear_operator-short",
-             "linear_operator-long", "linear_operator-nan"],
+             "linear_operator-long", "linear_operator-nan", "standard_kahler-float",
+             "kahler_structure-str", "standard_kahler-bool", "build_fock-float-cutoff",
+             "build_fock-float-modes", "build_fock-bool-cutoff", "build_majorana-float",
+             "build_majorana-bool"],
     )
     def test_mismatched_operand_refused(self, call, error, message):
         with pytest.raises(error) as exc:
