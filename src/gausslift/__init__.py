@@ -23,7 +23,6 @@ from .phase_space import (
     KahlerStructure,
     Species,
     delta_y_z,
-    random_group_element,
     split_cd,
     standard_kahler,
     validate_group_element,
@@ -62,7 +61,6 @@ from .fock import (
     mean_excitation,
     number_expectation,
     number_expectation_analytic,
-    parity_check,
     truncation_reliable,
     truncation_reliable_pair,
     vacuum_amplitude_gqh,

@@ -27,7 +27,14 @@ from .fermion import (
     so_generator,
 )
 from .fock import _number_expectation_from_parts, _PairOracle, build_fock
-from .generator import QuadraticHamiltonian, _affine_exp, gqh_overlap_analytic, lift_from_gqh
+from .generator import (
+    QuadraticHamiltonian,
+    _affine_exp,
+    gqh_overlap_analytic,
+    lift_from_gqh,
+    vacuum_phase_stable,
+    vacuum_phase_tracked,
+)
 from .inhomogeneous import LiftedGaussian, ig_multiply, zeta_cocycle
 from .matfunc import _first, _first_failure, complex_det, mat_exp, wrap_angle
 from .phase_space import Species, split_cd, standard_kahler, validate_group_element
@@ -304,8 +311,6 @@ def _cmd_lift(args):
 
 def _cmd_phase(args):
     doc, k = _structure(args)
-    from .generator import vacuum_phase_stable, vacuum_phase_tracked
-
     results = []
     for ham in _parse_hamiltonians(doc, k):
         # the fermionic generator is h itself, as in ``fermion_vacuum_amplitude``

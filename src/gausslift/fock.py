@@ -317,19 +317,15 @@ def number_expectation_analytic(ham1, ham2, t, k):
     Uses -tr(I - delta_{M(t)})/4 + z~^T g z~ / 2 with M(t) = e^{Omega h1 t}
     e^{Omega h2 t} and z~ = z1(t) + M1(t) z2(t).  Independent of any phase
     machinery: M_i(t) and z_i(t) are the blocks of one exponential each.
+    A fermionic Hamiltonian or structure, or an h of the wrong shape, raises
+    ``InputError``.
     """
     from .generator import _affine_exp
 
+    if k.species is not Species.BOSON or Species.FERMION in (ham1.species, ham2.species):
+        raise InputError("the analytic number expectation covers bosons")
+    for ham in (ham1, ham2):
+        _shaped(ham.h, (k.dim, k.dim), "h")
     _, z1, m1 = _affine_exp(ham1, k, t)
     _, z2, m2 = _affine_exp(ham2, k, t)
     return _number_expectation_from_parts(m1, m2, z1, z2, k)
-
-
-def parity_check(rep):
-    """Max deviation of e^{i pi (n + 1/2)} from i * parity, single mode."""
-    if rep.n_modes != 1:
-        raise InputError("parity identity is checked for a single mode")
-    n = np.arange(rep.n_max + 1)
-    lhs = np.exp(1j * np.pi * (n + 0.5))
-    parity = (-1.0) ** n
-    return float(np.max(np.abs(lhs - 1j * parity)))

@@ -207,7 +207,7 @@ def vacuum_phase_stable(kgen, k):
     """
     if k.species is not Species.BOSON:
         raise InputError("the stable closed form is implemented for bosons")
-    kgen = np.asarray(kgen, dtype=float)
+    kgen = _as_square(_shaped(kgen, (k.dim, k.dim), "generator"), "generator")
     vals, vecs = np.linalg.eig(kgen)
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:

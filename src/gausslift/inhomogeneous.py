@@ -66,8 +66,9 @@ def disp_multiply(d1, d2, k):
     """(z1, t1)(z2, t2) = (z1 + z2, t1 + t2 + omega(z1, z2)/2); bosons only."""
     if k.species is not Species.BOSON:
         raise InputError("fermions admit no displacements")
-    phase = d1.phase + d2.phase + 0.5 * k.omega_bilinear(d1.z, d2.z)
-    return Displacement(z=d1.z + d2.z, phase=phase)
+    z1, z2 = _shaped(d1.z, (k.dim,), "z1"), _shaped(d2.z, (k.dim,), "z2")
+    phase = d1.phase + d2.phase + 0.5 * k.omega_bilinear(z1, z2)
+    return Displacement(z=z1 + z2, phase=phase)
 
 
 def displacement_to_gaussian(d, k):
@@ -173,17 +174,3 @@ def ig_inverse(u):
     invertible C) is needed."""
     minv = group_inverse(u.m, u.k)
     return LiftedGaussian(m=minv, z=-(minv @ u.z), psi=np.conj(u.psi), k=u.k)
-
-
-__all__ = [
-    "Displacement",
-    "LiftedGaussian",
-    "disp_multiply",
-    "displacement_to_gaussian",
-    "gamma_phase",
-    "ig_decompose",
-    "ig_identity",
-    "ig_inverse",
-    "ig_multiply",
-    "zeta_cocycle",
-]

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InputError, NumericalDomainError
-from .matfunc import _any, _row_order_errors, _scalar, mat_exp
+from .matfunc import _any, _row_order_errors, _scalar
 
 
 class Species(enum.Enum):
@@ -154,8 +154,11 @@ def group_inverse(m, k):
 
 
 def split_cd(m, k):
-    """J-linear and J-antilinear parts: C = (M - JMJ)/2, D = (M + JMJ)/2."""
-    m = np.asarray(m, dtype=float)
+    """J-linear and J-antilinear parts: C = (M - JMJ)/2, D = (M + JMJ)/2, of a
+    group element or of each element of a stack; the one shape check of every
+    group element that is split (``delta_y_z``, ``circle_function``,
+    ``mp_lift``), a mismatch raising ``InputError``."""
+    m = _shaped(m, (k.dim, k.dim), "group element", stacked=True)
     jmj = k.j @ m @ k.j
     return (m - jmj) / 2.0, (m + jmj) / 2.0
 
@@ -177,7 +180,7 @@ def delta_y_z(m, k):
     raises ``NumericalDomainError``; a matrix of the wrong shape, ``InputError``.
     A stack makes one SVD call and two solves.
     """
-    c, d = split_cd(_shaped(m, (k.dim, k.dim), "group element", stacked=True), k)
+    c, d = split_cd(m, k)
     try:
         sv = np.linalg.svd(c, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -188,18 +191,3 @@ def delta_y_z(m, k):
     ct, dt = c.swapaxes(-1, -2), d.swapaxes(-1, -2)
     return DeltaYZ(y=np.linalg.solve(ct, -dt if k.species is Species.BOSON else dt),
                    z=np.linalg.solve(c, d))
-
-
-def random_group_element(k, rng, scale=1.0):
-    """Connected-component sample e^K with K = Omega h (bosons, h symmetric,
-    ||h|| <= scale) or K antisymmetric (fermions)."""
-    n2 = k.dim
-    a = rng.standard_normal((n2, n2))
-    if k.species is Species.BOSON:
-        h = (a + a.T) / 2.0
-        h *= scale * rng.uniform(0.1, 1.0) / max(np.linalg.norm(h, 2), 1e-12)
-        gen = k.omega @ h
-    else:
-        gen = (a - a.T) / 2.0
-        gen *= scale * rng.uniform(0.1, 1.0) / max(np.linalg.norm(gen, 2), 1e-12)
-    return mat_exp(gen)

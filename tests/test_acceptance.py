@@ -9,7 +9,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import FIG2_F, FIG2_STABLE, FIG2_UNSTABLE, random_antisymmetric
+from conftest import (
+    FIG2_F,
+    FIG2_STABLE,
+    FIG2_UNSTABLE,
+    parity_check,
+    random_antisymmetric,
+    random_group_element,
+)
 from gausslift import (
     LiftedGaussian,
     QuadraticHamiltonian,
@@ -25,9 +32,7 @@ from gausslift import (
     mw_reflection,
     number_expectation,
     number_expectation_analytic,
-    parity_check,
     pin_component_phase,
-    random_group_element,
     reference_reflection,
     so_generator,
     split_cd,

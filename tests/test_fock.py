@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from conftest import FIG2_F, FIG2_STABLE, FIG2_UNSTABLE, dense, random_gqh
+from conftest import FIG2_F, FIG2_STABLE, FIG2_UNSTABLE, dense, parity_check, random_gqh
 from gausslift import (
     QuadraticHamiltonian,
     Species,
@@ -12,7 +12,6 @@ from gausslift import (
     mean_excitation,
     number_expectation,
     number_expectation_analytic,
-    parity_check,
     standard_kahler,
     truncation_reliable,
     truncation_reliable_pair,

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, random_symmetric
+from conftest import dense, random_group_element, random_symmetric
 from gausslift import inhomogeneous, metaplectic, phase_space
 from gausslift import (
     Displacement,
@@ -23,7 +23,6 @@ from gausslift import (
     mat_exp,
     mp_lift,
     mp_multiply,
-    random_group_element,
     split_cd,
     standard_kahler,
     wrap_angle,

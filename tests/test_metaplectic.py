@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import random_group_element
 from gausslift import (
     LiftedSymplectic,
     circle_function,
@@ -9,7 +10,6 @@ from gausslift import (
     mat_sqrt_principal,
     mp_lift,
     mp_multiply,
-    random_group_element,
     wrap_angle,
 )
 from gausslift.errors import InputError, UnitarilyOrthogonalError

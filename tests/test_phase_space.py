@@ -1,28 +1,32 @@
 import numpy as np
 import pytest
 
+from conftest import random_group_element
 from gausslift import (
     QuadraticHamiltonian,
     Species,
     build_fock,
     build_majorana,
+    circle_function,
     cocycle_eta,
     delta_y_z,
+    disp_multiply,
     gamma_phase,
     gqh_overlap_analytic,
     lift_from_gqh,
     mat_exp,
     mw_reflection,
+    number_expectation_analytic,
     pin_component_phase,
-    random_group_element,
     so_generator,
     split_cd,
     standard_kahler,
+    vacuum_phase_stable,
     vacuum_phase_tracked,
     validate_group_element,
     zeta_cocycle,
 )
-from gausslift.errors import InputError, NumericalDomainError
+from gausslift.errors import InputError, InvalidStructureError, NumericalDomainError
 from gausslift.fermion import MajoranaRep, normalize_reflection
 from gausslift.inhomogeneous import Displacement, displacement_to_gaussian
 from gausslift.metaplectic import mp_lift
@@ -209,6 +213,7 @@ _K1, _KF1 = standard_kahler(1), standard_kahler(1, Species.FERMION)
 _K2, _KF2 = standard_kahler(2), standard_kahler(2, Species.FERMION)
 _ONE_MODE_H = QuadraticHamiltonian(h=np.eye(2), f=np.array([0.5, 0.5]))
 _FERMION_H = QuadraticHamiltonian(h=np.array([[0.0, 1.0], [-1.0, 0.0]]), species=Species.FERMION)
+_TWO_MODE_H = QuadraticHamiltonian(h=np.eye(4))
 
 
 class TestOperandShape:
@@ -281,6 +286,27 @@ class TestOperandShape:
             (lambda: build_fock(1, False), InputError, "n_max must be an integer, got False"),
             (lambda: build_majorana(2.5), InputError, "n_modes must be an integer, got 2.5"),
             (lambda: build_majorana(True), InputError, "n_modes must be an integer, got True"),
+            # every group element that is split passes the one check in ``split_cd``
+            (lambda: split_cd(np.eye(3), _K1), InputError,
+             "group element must have shape (2, 2), got (3, 3)"),
+            (lambda: circle_function(np.eye(4), _K1), InputError,
+             "group element must have shape (2, 2), got (4, 4)"),
+            (lambda: mp_lift(np.eye(4), _K1), InputError,
+             "group element must have shape (2, 2), got (4, 4)"),
+            (lambda: disp_multiply(Displacement(z=np.zeros(3)), Displacement(z=np.zeros(2)), _K1),
+             InputError, "z1 must have shape (2,), got (3,)"),
+            (lambda: disp_multiply(Displacement(z=np.zeros(2)), Displacement(z=np.ones(4)), _K1),
+             InputError, "z2 must have shape (2,), got (4,)"),
+            (lambda: vacuum_phase_stable(np.eye(3), _K1), InputError,
+             "generator must have shape (2, 2), got (3, 3)"),
+            (lambda: vacuum_phase_stable(np.full((2, 2), np.nan), _K1), InvalidStructureError,
+             "generator contains non-finite entries"),
+            (lambda: number_expectation_analytic(_FERMION_H, _FERMION_H, 1.0, _KF1), InputError,
+             "the analytic number expectation covers bosons"),
+            (lambda: number_expectation_analytic(_FERMION_H, _FERMION_H, 1.0, _K1), InputError,
+             "the analytic number expectation covers bosons"),
+            (lambda: number_expectation_analytic(_ONE_MODE_H, _TWO_MODE_H, 1.0, _K1), InputError,
+             "h must have shape (2, 2), got (4, 4)"),
         ],
         ids=["lift_from_gqh", "gqh_overlap_analytic", "vacuum_phase_tracked", "mw_reflection",
              "normalize_reflection", "delta_y_z", "zeta_cocycle", "zeta_cocycle-z2",
@@ -293,7 +319,11 @@ class TestOperandShape:
              "linear_operator-long", "linear_operator-nan", "standard_kahler-float",
              "kahler_structure-str", "standard_kahler-bool", "build_fock-float-cutoff",
              "build_fock-float-modes", "build_fock-bool-cutoff", "build_majorana-float",
-             "build_majorana-bool"],
+             "build_majorana-bool", "split_cd", "circle_function", "mp_lift",
+             "disp_multiply-z1", "disp_multiply-z2", "vacuum_phase_stable",
+             "vacuum_phase_stable-nan", "number_expectation_analytic-fermion",
+             "number_expectation_analytic-fermion-boson-structure",
+             "number_expectation_analytic-two-modes"],
     )
     def test_mismatched_operand_refused(self, call, error, message):
         with pytest.raises(error) as exc:

@@ -12,13 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG2_F, FIG2_STABLE, random_symmetric
+from conftest import FIG2_F, FIG2_STABLE, random_group_element, random_symmetric
 from gausslift import (
     QuadraticHamiltonian,
     Species,
     mat_exp,
     number_expectation_analytic,
-    random_group_element,
     standard_kahler,
     zeta_cocycle,
 )
