@@ -72,6 +72,7 @@ from .fermion import (
     fermion_vacuum_amplitude,
     mw_reflection,
     pin_component_phase,
+    pin_vacuum_amplitude,
     reference_reflection,
     so_generator,
 )

@@ -23,8 +23,8 @@ from .fermion import (
     mw_reflection,
     normalize_reflection,
     pin_component_phase,
+    pin_vacuum_amplitude,
     reference_reflection,
-    so_generator,
 )
 from .fock import _number_expectation_from_parts, _PairOracle, build_fock
 from .generator import (
@@ -484,7 +484,7 @@ def _cmd_fermion(args):
         entry = {"det": det, "phase": _complex_pair(phase)}
         if n_modes <= 5:
             rep = build_majorana(n_modes)
-            oracle = fermion_vacuum_amplitude(so_generator(m if det > 0 else mw @ m), rep)
+            oracle = pin_vacuum_amplitude(m if det > 0 else mw @ m, rep)
             entry["oracle_phase"] = _complex_pair(oracle / abs(oracle))
             entry["oracle_agreement"] = abs(phase - oracle / abs(oracle))
         out["pin"] = entry

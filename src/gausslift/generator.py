@@ -1,6 +1,6 @@
 """Lifting quadratic Hamiltonians (h, f, c) to lifted triples (M, z, Psi).
 
-One engine serves every lift and Pin phase: scaling and squaring in the
+One engine serves every lift and vacuum phase: scaling and squaring in the
 inhomogeneous group.  e^{-iH} is the exponential of a (2N + 2) x (2N + 2)
 affine generator X (``_affine_generator``) whose blocks hold theta, z and M;
 e^{X/2^s}, close to the identity, is lifted to (M, z, Psi) on its continuous

@@ -653,8 +653,9 @@ class TestBosonicCommandsLoadNoScipy:
 
 
 class TestFermionicCommandsLoadNoScipy:
-    """The fermionic path runs in numpy alone too: ``so_generator`` is a numpy
-    logarithm, and the Majorana oracle exponentiates with ``mat_exp``."""
+    """The fermionic path runs in numpy alone too: the Pin phase is a Cayley
+    transform and a Pfaffian, its oracle a product of reflection operators,
+    and the Majorana oracle of a Hamiltonian exponentiates with ``mat_exp``."""
 
     @pytest.mark.parametrize(
         "argv, name",
@@ -790,6 +791,37 @@ class TestFermionCommand:
         monkeypatch.setattr(fermion.MajoranaRep, "__init__", counted)
         assert run(["fermion", "--input", write_doc(tmp_path, doc), "--out", os.devnull]) == 0
         assert len(built) == builds
+
+    @pytest.mark.parametrize("name", ["fermion_m_w_hamiltonians.json",
+                                      "fermion_det_minus_one.json"])
+    def test_takes_no_logarithm(self, monkeypatch, name):
+        # neither the Pin phase nor its oracle takes a logarithm, so the two
+        # routes share no code and one can catch the other's error
+        from gausslift import cli, fermion
+
+        calls = []
+        so_generator = fermion.so_generator
+
+        def counted(m):
+            calls.append(m)
+            return so_generator(m)
+
+        for module in (fermion, cli):
+            monkeypatch.setattr(module, "so_generator", counted, raising=False)
+        assert run(["fermion", "--input", str(CLI_DATA / name), "--out", os.devnull]) == 0
+        assert calls == []
+
+    def test_two_planes_near_the_cut_answered(self, tmp_path, capsys):
+        # rotations by pi - 1e-4 and pi - 2e-4 in the q1-p1 and q2-p2 planes
+        # turned by a seeded orthogonal Q: no logarithm of M is needed
+        q = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))[0]
+        rot = np.eye(4)
+        for (a, b), angle in (((0, 2), np.pi - 1e-4), ((1, 3), np.pi - 2e-4)):
+            rot[a, a] = rot[b, b] = np.cos(angle)
+            rot[a, b], rot[b, a] = np.sin(angle), -np.sin(angle)
+        doc = {"species": "fermion", "N": 2, "M": (q @ rot @ q.T).tolist()}
+        assert run(["fermion", "--input", write_doc(tmp_path, doc)]) == 0
+        assert json.loads(capsys.readouterr().out)["pin"]["oracle_agreement"] < 1e-12
 
     def test_boson_species_rejected(self, tmp_path):
         assert run(["fermion", "--input", write_doc(tmp_path, {"species": "boson", "N": 1})]) == 2

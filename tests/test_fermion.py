@@ -8,10 +8,14 @@ from gausslift import (
     build_majorana,
     cocycle_eta,
     complex_det,
+    fermion,
     fermion_vacuum_amplitude,
+    generator,
     mat_exp,
+    matfunc,
     mw_reflection,
     pin_component_phase,
+    pin_vacuum_amplitude,
     reference_reflection,
     so_generator,
     split_cd,
@@ -271,6 +275,134 @@ class TestPinComponentPhase:
         w = reference_reflection(kf2)
         with pytest.raises(InputError):
             pin_component_phase(0.5 * np.eye(4), w, kf2)
+
+
+def random_planes(rng, n_modes, angles):
+    """(K, M = e^K) for rotation ``angles`` in the planes of a random
+    orthogonal Q; the trailing planes get random angles in [0, 3)."""
+    n2 = 2 * n_modes
+    angles = np.concatenate([angles, rng.uniform(0.0, 3.0, n_modes - len(angles))])
+    gen = plane_generator(n2, np.linalg.qr(rng.standard_normal((n2, n2)))[0], angles)
+    return gen, mat_exp(gen)
+
+
+class TestPinClosedForm:
+    """The Cayley-Pfaffian phase against oracles that exponentiate the exact
+    generator K, never one taken from M."""
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+    def test_both_components_vs_majorana_oracle(self, rng, n_modes):
+        k = standard_kahler(n_modes, Species.FERMION)
+        rep = build_majorana(n_modes)
+        w = reference_reflection(k)
+        mw = mw_reflection(w, k)
+        for _ in range(20):
+            gen, m = random_planes(rng, n_modes, rng.uniform(0.0, 3.0, 1))
+            amp = fermion_vacuum_amplitude(gen, rep)
+            assert abs(pin_component_phase(m, w, k) - amp / abs(amp)) < 1e-12
+            assert abs(pin_component_phase(mw @ m, w, k) - amp / abs(amp)) < 1e-12
+
+    @pytest.mark.parametrize("n_modes", [6, 8])
+    def test_vs_tracked_phase_beyond_the_oracle(self, rng, n_modes):
+        k = standard_kahler(n_modes, Species.FERMION)
+        w = reference_reflection(k)
+        for _ in range(10):
+            gen, m = random_planes(rng, n_modes, rng.uniform(0.0, np.pi - 1e-3, n_modes))
+            phase = vacuum_phase_tracked(gen, k)
+            assert abs(pin_component_phase(m, w, k) - phase) < 1e-11
+
+    @pytest.mark.parametrize("delta", [1e-3, 1e-4])
+    @pytest.mark.parametrize("n_modes", [2, 3])
+    def test_two_planes_near_the_cut_answered(self, rng, n_modes, delta):
+        # one eigh of P cannot tell these planes apart, so a logarithm of M
+        # fails here; the Cayley transform needs none
+        k = standard_kahler(n_modes, Species.FERMION)
+        rep = build_majorana(n_modes)
+        w = reference_reflection(k)
+        for _ in range(40):
+            gen, m = random_planes(rng, n_modes, [np.pi - delta, np.pi - 2 * delta])
+            amp = fermion_vacuum_amplitude(gen, rep)
+            assert abs(pin_component_phase(m, w, k) - amp / abs(amp)) < 1e-8
+
+    def test_inside_the_cut_band_refused(self, rng):
+        k = standard_kahler(3, Species.FERMION)
+        _, m = random_planes(rng, 3, [np.pi - SO_CUT_BAND / 2])
+        with pytest.raises(SpectrumOnCutError):
+            pin_component_phase(m, reference_reflection(k), k)
+
+    def test_vanishing_amplitude_off_the_cut_refused(self, kf2):
+        # q1-q2 turned by pi/2 - x, p1-p2 by -(pi/2 - x): both angles are far
+        # from pi, and det C = cos^2(pi/2 - x) = sin^2 x < 1e-12
+        x = 3e-7
+        angle = np.pi / 2 - x
+        m = np.eye(4)
+        for (a, b), t in (((0, 1), angle), ((2, 3), -angle)):
+            m[a, a] = m[b, b] = np.cos(t)
+            m[a, b], m[b, a] = np.sin(t), -np.sin(t)
+        assert abs(complex_det(split_cd(m, kf2)[0])) < 1e-12
+        with pytest.raises(UnitarilyOrthogonalError):
+            pin_component_phase(m, reference_reflection(kf2), kf2)
+
+    def test_takes_no_logarithm_exponential_or_squaring(self, rng, kf2, monkeypatch):
+        calls = []
+
+        def spy(module, name):
+            func = getattr(module, name)
+
+            def wrapped(*args):
+                calls.append(name)
+                return func(*args)
+            monkeypatch.setattr(module, name, wrapped)
+
+        for module, name in [(fermion, "mat_exp"), (matfunc, "mat_exp"),
+                             (fermion, "so_generator"), (generator, "vacuum_phase_tracked"),
+                             (generator, "_squared_lift")]:
+            spy(module, name)
+        w = reference_reflection(kf2)
+        m = random_so(rng, 4, scale=2.0)
+        pin_component_phase(m, w, kf2)
+        pin_component_phase(mw_reflection(w, kf2) @ m, w, kf2)
+        assert calls == []
+        fermion.so_generator(m)  # the spies are live
+        assert calls == ["so_generator", "mat_exp"]
+
+
+class TestPinVacuumAmplitude:
+    @pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 5])
+    def test_matches_exponentiated_generator(self, rng, n_modes):
+        rep = build_majorana(n_modes)
+        for _ in range(10):
+            gen, m = random_planes(rng, n_modes, rng.uniform(0.0, 3.0, 1))
+            amp = fermion_vacuum_amplitude(gen, rep)
+            assert abs(pin_vacuum_amplitude(m, rep) - amp) < 1e-12
+
+    @pytest.mark.parametrize("n_modes", [2, 3, 5])
+    def test_two_planes_near_the_cut(self, rng, n_modes):
+        # the sign of the trace, not its phase, fixes P = +-e^{K-hat}, so a
+        # trace of 2 delta^2 2^{N-2} costs no accuracy
+        rep = build_majorana(n_modes)
+        for _ in range(10):
+            gen, m = random_planes(rng, n_modes, [np.pi - 1e-6, np.pi - 2e-6])
+            amp = fermion_vacuum_amplitude(gen, rep)
+            assert abs(pin_vacuum_amplitude(m, rep) - amp) < 1e-12
+
+    def test_reflection_refused(self, kf2):
+        m = mw_reflection(reference_reflection(kf2), kf2)
+        with pytest.raises(InputError):
+            pin_vacuum_amplitude(m, build_majorana(2))
+
+    def test_half_turn_refused(self):
+        with pytest.raises(SpectrumOnCutError):
+            pin_vacuum_amplitude(np.diag([-1.0, -1.0, 1.0, 1.0]), build_majorana(2))
+
+    @pytest.mark.parametrize(
+        "m, error",
+        [(np.eye(4), InputError), (0.5 * np.eye(2), InputError),
+         (np.diag([np.nan, 1.0]), InvalidStructureError)],
+        ids=["shape", "not-orthogonal", "non-finite"])
+    def test_bad_matrix_refused(self, m, error):
+        with pytest.raises(error):
+            pin_vacuum_amplitude(m, build_majorana(1))
 
 
 def q_plane_rotation(theta):
