@@ -95,11 +95,6 @@ class FockRep:
         identity on every other mode, in this rep's storage."""
         return reduce(self._kron, [ops.get(m, self._one) for m in range(self.n_modes)])
 
-    @cached_property
-    def quadratures(self):
-        """Dense complex quadrature matrices (materialized on first access)."""
-        return self._xi if self.dense else [m.toarray() for m in self._xi]
-
     def hamiltonian_matrix(self, ham):
         """Matrix of (1/2) h_ab xi^a xi^b + f_a xi^a + c, in this rep's storage.
 

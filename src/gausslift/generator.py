@@ -5,8 +5,11 @@ inhomogeneous group.  e^{-iH} is the exponential of a (2N + 2) x (2N + 2)
 affine generator X (``_affine_generator``) whose blocks hold theta, z and M;
 e^{X/2^s}, close to the identity, is lifted to (M, z, Psi) on its continuous
 branch and squared s times with the group law ``ig_multiply``
-(``_squared_lift``).  A vacuum phase is the same engine on an X that holds
-only K.  Every square e^{X/2^j} (j >= 1) must have an invertible C; where
+(``_squared_lift``).  The start needs only ||K / 2^s||_2 < ln 2: then
+||C - I||_2 < e^{ln 2} - 1 = 1 along the whole path from the identity, so
+the eigenvalues of C stay in the right half-plane and their principal angles
+are continuous.  A vacuum phase is the same engine on an X that holds only
+K.  Every square e^{X/2^j} (j >= 1) must have an invertible C; where
 one does not, a ``NumericalDomainError`` is raised and no branch is guessed.
 The closed forms ``vacuum_phase_stable`` (stable bosonic generators) and
 ``sigma_map`` (spectral radius < 4) are independent cross-checks that share
@@ -36,8 +39,9 @@ from .phase_space import Species, _shaped, delta_y_z, split_cd
 #: whose poles sit at 2 pi i k) and beyond which it raises
 _BETA_SERIES_RADIUS = 4.0
 
-#: spectral norm of K / 2^s at which scaling and squaring starts its lift
-_SQUARING_NORM = 0.25
+#: spectral norm of K / 2^s at which scaling and squaring starts its lift;
+#: any value below ln 2 keeps the start on its branch (``_squared_lift``)
+_SQUARING_NORM = 0.6
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,11 +167,16 @@ def _squared_lift(x, k):
     """Lift (M, z, Psi) of e^X, X an affine generator as ``_affine_generator``
     builds it: the lift of e^{X/2^s} squared s times with ``ig_multiply``.
 
-    s >= 0 is the least with ||K / 2^s||_2 <= 1/4, K the middle block of X.
-    The blocks (theta, z, M) of e^{X/2^s} give Psi = psi e^{-i(theta +
-    gamma(M, z))}.  There ||C - I|| < 0.3, so psi = e^{(i/2) Im Tr log C}
-    (the sum of principal eigenvalue angles, right for any N, unlike the
-    principal root of det C) is the branch continuous from the identity.
+    s >= 0 is the least with ||K / 2^s||_2 <= nu = ``_SQUARING_NORM``, K the
+    middle block of X.  The blocks (theta, z, M) of e^{X/2^s} give Psi = psi
+    e^{-i(theta + gamma(M, z))}, with psi = e^{(i/2) Im Tr log C} (the sum of
+    principal eigenvalue angles, right for any N, unlike the principal root
+    of det C).  That psi is the branch continuous from the identity because
+    nu < ln 2: C - I = ((M - I) - J (M - I) J) / 2 and J is orthogonal, so
+    along M(t) = e^{tK/2^s}, t in [0, 1], ||C(t) - I||_2 <= ||M(t) - I||_2
+    <= e^nu - 1 < 1.  Every eigenvalue of C(t) then has real part above
+    2 - e^nu (0.18 at nu = 0.6), so no principal angle crosses the cut and
+    their sum is continuous from 0 at t = 0.
     Every square e^{X/2^j} (j >= 1) needs an invertible C, because the
     cocycle reads its Z map; otherwise a ``NumericalDomainError`` is raised
     and no branch is guessed.

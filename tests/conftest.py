@@ -36,6 +36,12 @@ def dense(op):
     return op.toarray() if scipy.sparse.issparse(op) else np.asarray(op)
 
 
+def quadratures(rep):
+    """Dense complex quadrature matrices (q_1..q_N, p_1..p_N) of a Fock rep,
+    the operators its Hamiltonian matrices are built from."""
+    return [dense(xi) for xi in rep._xi]
+
+
 def random_symmetric(rng, n2, scale=1.0):
     a = rng.standard_normal((n2, n2))
     h = (a + a.T) / 2.0

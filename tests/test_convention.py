@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_antisymmetric, random_symmetric
+from conftest import quadratures, random_antisymmetric, random_symmetric
 from gausslift import (
     QuadraticHamiltonian,
     build_fock,
@@ -151,7 +151,7 @@ class TestDisplacementConvention:
         # positive on the vacuum
         rep = build_fock(1, 40)
         z = np.array([0.5, 0.3])
-        q, p = rep.quadratures
+        q, p = quadratures(rep)
         d_op = scipy.linalg.expm(1j * (z[1] * q - z[0] * p))
         amp = np.vdot(rep.vacuum, d_op @ rep.vacuum)
         assert amp.imag == pytest.approx(0.0, abs=1e-12)
@@ -161,7 +161,7 @@ class TestDisplacementConvention:
         # D(z)^dag xi D(z) = xi + z on the interior block
         rep = build_fock(1, 50)
         z = np.array([0.3, -0.7])
-        q, p = rep.quadratures
+        q, p = quadratures(rep)
         d_op = scipy.linalg.expm(1j * (z[1] * q - z[0] * p))
         for xi, shift in ((q, z[0]), (p, z[1])):
             moved = d_op.conj().T @ xi @ d_op

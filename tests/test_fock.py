@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from conftest import FIG2_F, FIG2_STABLE, FIG2_UNSTABLE, dense, parity_check, random_gqh
+from conftest import (
+    FIG2_F,
+    FIG2_STABLE,
+    FIG2_UNSTABLE,
+    dense,
+    parity_check,
+    quadratures,
+    random_gqh,
+)
 from gausslift import (
     QuadraticHamiltonian,
     Species,
@@ -34,18 +42,18 @@ class TestBuildFock:
         rep = build_fock(1, 2)
         s2 = np.sqrt(2.0)
         expected = np.array([[0, 1, 0], [1, 0, s2], [0, s2, 0]]) / s2
-        np.testing.assert_allclose(rep.quadratures[0], expected, atol=1e-15)
+        np.testing.assert_allclose(quadratures(rep)[0], expected, atol=1e-15)
 
     def test_canonical_commutator_interior(self):
         rep = build_fock(1, 12)
-        q, p = rep.quadratures
+        q, p = quadratures(rep)
         comm = q @ p - p @ q
         interior = comm[:11, :11]
         np.testing.assert_allclose(interior, 1j * np.eye(11), atol=1e-12)
 
     def test_number_operator_diagonal(self):
         rep = build_fock(1, 6)
-        q, p = rep.quadratures
+        q, p = quadratures(rep)
         n_from_quad = 0.5 * (q @ q + p @ p - np.eye(7))
         np.testing.assert_allclose(np.diag(n_from_quad)[:6], np.arange(6), atol=1e-12)
         np.testing.assert_allclose(
@@ -55,7 +63,7 @@ class TestBuildFock:
     def test_two_mode_embedding(self):
         rep = build_fock(2, 3)
         assert rep.dim == 16
-        q1, q2, p1, p2 = rep.quadratures
+        q1, q2, p1, p2 = quadratures(rep)
         np.testing.assert_allclose(q1 @ q2, q2 @ q1, atol=1e-13)
         comm = (q1 @ p1 - p1 @ q1)[:12, :12]
         # interior of the first mode commutator

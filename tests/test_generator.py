@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIG2_F, FIG2_STABLE, random_symmetric
+from conftest import FIG2_F, FIG2_STABLE, quadratures, random_symmetric
 from gausslift import (
     QuadraticHamiltonian,
     build_fock,
@@ -15,6 +15,7 @@ from gausslift import (
     mat_exp,
     phi1_entire,
     sigma_map,
+    split_cd,
     standard_kahler,
     truncation_reliable,
     vacuum_amplitude_gqh,
@@ -28,8 +29,9 @@ from gausslift.errors import (
     NumericalDomainError,
     SpectrumOnCutError,
 )
-from gausslift import matfunc
+from gausslift import generator, matfunc
 from gausslift.generator import _affine_exp, _beta_function
+from gausslift.matfunc import complexify
 
 ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -118,7 +120,7 @@ class TestZFromHF:
         rep = build_fock(1, 30)
         ham = QuadraticHamiltonian(h=np.zeros((2, 2)), f=np.array([1.0, 0.0]))
         st = rep._evolution(ham).apply(1.0, rep.vacuum)
-        q, p = rep.quadratures
+        q, p = quadratures(rep)
         assert np.real(np.vdot(st, p @ st)) == pytest.approx(-1.0, abs=1e-10)
 
     def test_entire_form_matches_inverse_form(self, rng, k2):
@@ -135,7 +137,7 @@ class TestZFromHF:
         rep = build_fock(1, 80)
         ham = QuadraticHamiltonian(h=FIG2_STABLE[0], f=FIG2_F)
         st = rep._evolution(ham).apply(1.0, rep.vacuum)
-        q, p = rep.quadratures
+        q, p = quadratures(rep)
         oracle = np.array(
             [np.real(np.vdot(st, q @ st)), np.real(np.vdot(st, p @ st))]
         )
@@ -481,7 +483,7 @@ class TestLiftFromGQH:
         # the lift is a homomorphism: lift(H1) lift(H2) realizes U1 U2 in all
         # three slots (matrix, displacement, phase)
         rep = build_fock(1, 60)
-        q, p = rep.quadratures
+        q, p = quadratures(rep)
         for _ in range(5):
             from conftest import random_gqh
 
@@ -499,3 +501,101 @@ class TestLiftFromGQH:
             np.testing.assert_allclose(prod.m, m_oracle, atol=1e-8)
             np.testing.assert_allclose(prod.z, z_oracle, atol=1e-8)
             assert np.conj(prod.psi) == pytest.approx(amp12 / abs(amp12), abs=1e-6)
+
+
+class TestSquaringThreshold:
+    """The start of ``_squared_lift`` at ||K / 2^s||_2 <= nu < ln 2.
+
+    Along e^{tK}, t in [0, 1], ||C - I||_2 <= e^nu - 1 < 1, so every
+    eigenvalue of the complex block of C keeps a real part above 2 - e^nu
+    and the principal-angle sum that starts the lift is continuous.
+    """
+
+    NU = generator._SQUARING_NORM
+
+    @staticmethod
+    def _direction(kind, n_modes, seed):
+        """A generator K = Omega h of spectral norm 1: random h, passive
+        (K commutes with J) or a pure squeeze (K symmetric)."""
+        rng = np.random.default_rng([seed, n_modes, len(kind)])
+        k = standard_kahler(n_modes)
+        n = n_modes
+
+        def sym():
+            a = rng.standard_normal((n, n))
+            return a + a.T
+
+        if kind == "random":
+            h = random_symmetric(rng, 2 * n)
+        elif kind == "passive":  # h = [[A, B], [-B, A]] commutes with Omega
+            a, b = sym(), rng.standard_normal((n, n))
+            b = b - b.T
+            h = np.block([[a, b], [-b, a]])
+        else:  # h = [[A, B], [B, -A]] anticommutes with Omega
+            a, b = sym(), sym()
+            h = np.block([[a, b], [b, -a]])
+        kgen = k.omega @ h
+        return h / np.linalg.norm(kgen, 2), k
+
+    KINDS = ["random", "passive", "squeeze"]
+
+    def test_threshold_is_below_ln_2(self):
+        assert 0.0 < self.NU < np.log(2.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_modes", [1, 2, 4, 8])
+    def test_complex_block_stays_in_the_right_half_plane(self, n_modes, kind):
+        for seed in range(3):
+            h, k = self._direction(kind, n_modes, seed)
+            kgen = self.NU * (k.omega @ h)
+            t = np.linspace(0.0, 1.0, 65)
+            c = split_cd(mat_exp(t[:, None, None] * kgen), k)[0]
+            low = np.min(np.linalg.eigvals(complexify(c)).real)
+            assert low >= 2.0 - np.exp(self.NU)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n_modes", [1, 2, 4, 8])
+    def test_lift_at_the_threshold_is_the_square_of_its_half(self, n_modes, kind):
+        # at ||K||_2 in [0.9 nu, nu] the lift starts without squaring, and its
+        # half, lifted the same way and squared with the group law, must agree
+        for seed in range(3):
+            h, k = self._direction(kind, n_modes, seed)
+            rng = np.random.default_rng([seed, n_modes])
+            ham = QuadraticHamiltonian(h=self.NU * rng.uniform(0.9, 1.0) * h,
+                                       f=rng.standard_normal(2 * n_modes),
+                                       c=rng.uniform(-np.pi, np.pi))
+            whole = lift_from_gqh(ham, k)
+            half = lift_from_gqh(ham.scaled(0.5), k)
+            square = ig_multiply(half, half)
+            scale = max(1.0, np.linalg.norm(whole.m, 2))
+            assert np.max(np.abs(square.m - whole.m)) <= 1e-12 * scale
+            assert np.max(np.abs(square.z - whole.z)) <= 1e-12 * scale
+            assert abs(wrap_angle(np.angle(square.psi) - np.angle(whole.psi))) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_single_mode_start_against_fock(self, kind):
+        rep = build_fock(1, 80)
+        for seed in range(3):
+            h, k = self._direction(kind, 1, seed)
+            ham = QuadraticHamiltonian(h=(self.NU - 1e-9) * h, f=np.array([0.4, -0.3]), c=0.7)
+            amp = vacuum_amplitude_gqh(ham, 1.0, rep)
+            lifted = lift_from_gqh(ham, k)
+            assert abs(np.conj(lifted.psi) - amp / abs(amp)) <= 1e-10
+
+    @pytest.mark.parametrize("norm, squares", [(0.3, 0), (0.59, 0), (0.61, 1), (1.0, 1),
+                                               (2.5, 3)])
+    @pytest.mark.parametrize("call", [lift_from_gqh, gqh_overlap_analytic],
+                             ids=["lift_from_gqh", "gqh_overlap_analytic"])
+    def test_squaring_count(self, monkeypatch, k2, call, norm, squares):
+        # a lift makes max(0, ceil(log2(||K||_2 / nu))) squarings
+        assert squares == max(0, int(np.ceil(np.log2(norm / self.NU))))
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return ig_multiply(a, b)
+
+        monkeypatch.setattr(generator, "ig_multiply", counted)
+        h, _ = self._direction("random", 2, 0)
+        call(QuadraticHamiltonian(h=norm * h, f=np.ones(4), c=0.5), k2)
+        assert len(calls) == squares

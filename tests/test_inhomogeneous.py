@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import dense, random_group_element, random_symmetric
+from conftest import dense, quadratures, random_group_element, random_symmetric
 from gausslift import inhomogeneous, metaplectic, phase_space
 from gausslift import (
     Displacement,
@@ -354,7 +354,7 @@ class TestSdCommute:
         rep = build_fock(1, 60)
         h = random_symmetric(rng, 2, scale=0.5)
         z = 0.5 * rng.standard_normal(2)
-        q, p = rep.quadratures
+        q, p = quadratures(rep)
 
         def disp(v):
             return scipy.linalg.expm(1j * (v[1] * q - v[0] * p))

@@ -12,6 +12,11 @@ exports, must meet at least one of these rules:
 - it is the ``[project.scripts]`` entry of ``pyproject.toml``;
 - it is on ``PAPER_API``, with the reason it stays.
 
+Each public method and property of a public class must be read as an
+attribute (``x.<member>``) by code in ``src/gausslift`` outside its own
+definition, or by ``bench/workloads.py``, or be on ``PAPER_API`` as
+``<Class>.<member>``.
+
 A ``PAPER_API`` entry that is not a public name, or that already meets
 another rule, fails as well, so the map cannot go stale.  The test reads the
 sources and never imports ``gausslift``.
@@ -27,7 +32,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "gausslift"
 
-#: public names no other rule keeps: the paper's group API, each with its reason
+#: public names (``<name>`` or ``<Class>.<member>``) no other rule keeps: the
+#: paper's group API, each with its reason
 PAPER_API = {
     "disp_multiply": "the Heisenberg law of the displacement group",
     "displacement_to_gaussian": "the embedding (z, theta) -> (I, z, e^{-i theta})",
@@ -49,6 +55,40 @@ def public_names(sources):
             for node in ast.parse(text).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")}
+
+
+def public_members(sources):
+    """{"<Class>.<member>": module} of every public method and property
+    (a function in the class body) of a public class."""
+    return {f"{node.name}.{member.name}": module
+            for module, text in sources.items()
+            for node in ast.parse(text).body
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+            for member in node.body
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")}
+
+
+def _units(text):
+    """The module-level statements of a source, each class split into the
+    statements of its body, so that a member is a unit of its own."""
+    for statement in ast.parse(text).body:
+        yield from statement.body if isinstance(statement, ast.ClassDef) else [statement]
+
+
+def attribute_reads(tree):
+    """Attribute names (``x.<name>``) read anywhere in a syntax tree."""
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def member_reads(sources):
+    """Attribute names the modules read; a member's reads of its own name
+    (``self.<name>`` inside it) are not counted."""
+    found = set()
+    for text in sources.values():
+        for unit in _units(text):
+            found |= attribute_reads(unit) - {getattr(unit, "name", None)}
+    return found
 
 
 def referenced_names(sources):
@@ -96,18 +136,22 @@ def script_entries(pyproject):
 def public_api_problems(sources, workloads, benchmark, pyproject, paper_api):
     """A message for each public name with no user and each stale ``paper_api`` entry."""
     public = public_names(sources)
+    members = public_members(sources)
     referenced = referenced_names(sources)
     imported = bench_imports(workloads)
     keyed = metric_names(benchmark) | script_entries(pyproject)
+    attributes = member_reads(sources) | attribute_reads(ast.parse(workloads))
+    used = {name: name in referenced or name in imported or (module, name) in keyed
+            for name, module in public.items()}
+    used.update({name: name.split(".")[1] in attributes for name in members})
     problems = []
-    for name, module in sorted(public.items()):
-        used = name in referenced or name in imported or (module, name) in keyed
-        if name not in paper_api and not used:
+    for name, module in sorted({**public, **members}.items()):
+        if name not in paper_api and not used[name]:
             problems.append(f"{module}.{name} has no user")
-        elif name in paper_api and used:
+        elif name in paper_api and used[name]:
             problems.append(f"PAPER_API entry {name} is used elsewhere; drop it")
     problems += [f"PAPER_API entry {name} is no public name"
-                 for name in sorted(set(paper_api) - set(public))]
+                 for name in sorted(set(paper_api) - set(public) - set(members))]
     return problems
 
 
@@ -138,6 +182,20 @@ def test_a_dead_function_fails(module):
         f"{module}.dead_public_function has no user"]
 
 
+@pytest.mark.parametrize("decorator", ["", "@property\n    "], ids=["method", "property"])
+def test_a_dead_member_fails(decorator):
+    # a public class whose own name has a user, with one member nobody reads
+    sources, *rest = repo_inputs()
+    sources["phase_space"] += (
+        "\n\nclass Holder:\n"
+        f"    {decorator}def dead_member(self):\n        return self.dead_member\n"
+        "\n\ndef _holder():\n    return Holder\n")
+    assert public_api_problems(sources, *rest, PAPER_API) == [
+        "phase_space.Holder.dead_member has no user"]
+    assert public_api_problems(sources, *rest, dict(PAPER_API, **{
+        "Holder.dead_member": "kept"})) == []
+
+
 def test_a_paper_api_entry_that_is_no_name_fails():
     stale = dict(PAPER_API, ig_from_parts="deleted")
     assert public_api_problems(*repo_inputs(), stale) == [
@@ -154,5 +212,8 @@ def test_each_rule_keeps_a_name():
     sources, workloads, benchmark, pyproject = repo_inputs()
     assert "ig_multiply" in referenced_names(sources)
     assert "mw_reflection" in bench_imports(workloads)
+    assert "scaled" in attribute_reads(ast.parse(workloads))
+    assert "fundamental_form" in member_reads(sources)
+    assert {"QuadraticHamiltonian.scaled", "KahlerStructure.dim"} <= set(public_members(sources))
     assert {("fock", "build_fock"), ("errors", "PathSingularityError")} <= metric_names(benchmark)
     assert script_entries(pyproject) == {("cli", "main_entry")}
