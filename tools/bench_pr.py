@@ -1,14 +1,15 @@
 """Compare the benchmark of a change against its parent, in interleaved pairs.
 
     OPENBLAS_NUM_THREADS=1 python3 tools/bench_pr.py --parent HEAD~1 --change HEAD \\
-        --pairs 10 --seconds 10 --out BENCH_<n>.json
+        --out BENCH_<n>.json
 
 Both revisions are exported with ``git archive`` into a temporary directory,
-so only committed files are measured.  For each workload of ``BENCHMARK.json`` (or those given with
-``--workloads``) it runs ``bench/run.py --trace 0`` of each export ``--pairs``
-times, one parent run and one change run per pair with the same seed (1 for
-the first pair, then 2, 3, ...), the first side alternating from pair to pair so that a drift of the host's speed
-falls on both sides alike.  For every end-to-end metric the output holds both
+so only committed files are measured.  For every workload of ``BENCHMARK.json``
+it runs ``bench/run.py --trace 0`` of each export for the benchmark's
+``run_seconds``, in ``PAIRS`` pairs: one parent run and one change run per pair
+with the same seed (1 for the first pair, then 2, 3, ...), the first side
+alternating from pair to pair so that a drift of the host's speed falls on
+both sides alike.  For every end-to-end metric the output holds both
 sides' samples, their medians and interquartile ranges, and the number of
 pairs in which the change did better.
 
@@ -43,6 +44,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 TOOLS = Path(__file__).resolve().parent
 
+#: interleaved parent/change pairs of benchmark runs per workload
+PAIRS = 10
 #: modes and spectral norms ||K||_2 of the in-process kernel inputs; no norm
 #: is a power of two times a likely squaring threshold, where rounding of the
 #: normalization would decide the squaring count
@@ -198,23 +201,25 @@ def environment():
                                  if key.endswith("_NUM_THREADS")}}
 
 
-def compare(args, spec, workdir):
+def compare(parent, change, spec, workdir):
     """The report of both revisions, exported under ``workdir``."""
     trees = {side: workdir / side for side in ("parent", "change")}
-    commits = {side: export(getattr(args, side), trees[side]) for side in trees}
+    revs = {"parent": parent, "change": change}
+    commits = {side: export(revs[side], trees[side]) for side in trees}
+    seconds = float(spec["run_seconds"])
     report = {
-        "parent": {"rev": args.parent, "commit": commits["parent"]},
-        "change": {"rev": args.change, "commit": commits["change"]},
-        "settings": {"pairs": args.pairs, "seconds": args.seconds},
+        "parent": {"rev": parent, "commit": commits["parent"]},
+        "change": {"rev": change, "commit": commits["change"]},
+        "settings": {"pairs": PAIRS, "seconds": seconds},
         "environment": environment(),
         "workloads": {},
         "kernels": compare_kernels(trees),
         "not_measured": ["CLI wall times", "test suite wall time"],
     }
-    for workload in args.workloads:
-        report["workloads"][workload] = compare_workload(
-            trees, workload, spec, args.pairs, args.seconds)
-        print(f"{workload}: done", file=sys.stderr)
+    for workload in spec["workloads"]:
+        report["workloads"][workload["name"]] = compare_workload(
+            trees, workload["name"], spec, PAIRS, seconds)
+        print(f"{workload['name']}: done", file=sys.stderr)
     return report
 
 
@@ -223,17 +228,11 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", default="HEAD~1", help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
-    parser.add_argument("--workloads", nargs="+", default=[w["name"] for w in spec["workloads"]],
-                        choices=[w["name"] for w in spec["workloads"]])
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
 
     with tempfile.TemporaryDirectory(prefix="bench_pr_") as scratch:
-        report = compare(args, spec, Path(scratch))
+        report = compare(args.parent, args.change, spec, Path(scratch))
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     for workload, result in report["workloads"].items():
         for name, m in result["metrics"].items():

@@ -3,7 +3,7 @@
     python3 -m pytest tools/tests -q
 
 It needs git and a commit: both sides are the checkout's HEAD, so every
-comparison it writes is of a revision against itself.
+comparison it makes is of a revision against itself.
 """
 
 import json
@@ -16,26 +16,35 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[2]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+sys.path.insert(0, str(ROOT / "tools"))
+
+import bench_pr  # noqa: E402
 
 
 @pytest.fixture(scope="module")
-def report(tmp_path_factory):
+def trees(tmp_path_factory):
     if shutil.which("git") is None or not (ROOT / ".git").exists():
         pytest.skip("needs git and a git checkout")
-    out = tmp_path_factory.mktemp("bench_pr") / "bench.json"
-    done = subprocess.run(
-        [sys.executable, "tools/bench_pr.py", "--parent", "HEAD", "--change", "HEAD",
-         "--workloads", "compose", "--pairs", "2", "--seconds", "1", "--out", str(out)],
-        cwd=ROOT, capture_output=True, text=True, timeout=900)
-    assert done.returncode == 0, done.stderr
-    return json.loads(out.read_text(encoding="utf-8"))
+    workdir = tmp_path_factory.mktemp("bench_pr")
+    trees = {side: workdir / side for side in ("parent", "change")}
+    commits = {side: bench_pr.export("HEAD", tree) for side, tree in trees.items()}
+    return trees, commits
 
 
-def test_both_sides_are_the_named_commit(report):
+@pytest.fixture(scope="module")
+def report(trees):
+    trees, _ = trees
+    return {"workloads": {"compose": bench_pr.compare_workload(trees, "compose", SPEC, 2, 1.0)},
+            "kernels": bench_pr.compare_kernels(trees)}
+
+
+def test_both_sides_are_the_named_commit(trees):
+    trees, commits = trees
     head = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "HEAD"],
                           capture_output=True, text=True, check=True).stdout.strip()
-    assert report["parent"]["commit"] == report["change"]["commit"] == head
-    assert report["settings"] == {"pairs": 2, "seconds": 1.0}
+    assert commits["parent"] == commits["change"] == head
+    for tree in trees.values():
+        assert (tree / "bench" / "run.py").is_file() and not (tree / ".git").exists()
 
 
 def test_every_end_to_end_metric_is_compared_over_interleaved_pairs(report):
@@ -60,8 +69,7 @@ def test_kernels_are_timed_with_their_squaring_count(report):
         assert row["parent"]["us_per_call"] > 0 and row["change"]["us_per_call"] > 0
 
 
-def test_the_environment_is_recorded(report):
-    env = report["environment"]
+def test_the_environment_is_recorded():
+    env = bench_pr.environment()
     assert env["python"] and env["numpy"] and env["cpu_count"] >= 1
     assert all(key.endswith("_NUM_THREADS") for key in env["thread_variables"])
-    assert report["not_measured"]
