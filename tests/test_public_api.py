@@ -12,10 +12,14 @@ exports, must meet at least one of these rules:
 - it is the ``[project.scripts]`` entry of ``pyproject.toml``;
 - it is on ``PAPER_API``, with the reason it stays.
 
-Each public method and property of a public class must be read as an
-attribute (``x.<member>``) by code in ``src/gausslift`` outside its own
-definition, or by ``bench/workloads.py``, or be on ``PAPER_API`` as
-``<Class>.<member>``.
+Each public method, property and annotated field (a dataclass field) of a
+public class must be read as an attribute (``x.<member>``) by code in
+``src/gausslift`` outside its own definition, or by ``bench/workloads.py``, or
+be on ``PAPER_API`` as ``<Class>.<member>``.  The match is by the bare
+attribute name, whatever the class of ``x``: the sources are not typed, so a
+dead ``Foo.dim`` passes while ``KahlerStructure.dim`` is read anywhere, and a
+field passes on a read in its own class's methods (``self.<field>`` in
+``__post_init__``).  The member rule catches a name no code reads at all.
 
 A ``PAPER_API`` entry that is not a public name, or that already meets
 another rule, fails as well, so the map cannot go stale.  The test reads the
@@ -57,15 +61,25 @@ def public_names(sources):
             and not node.name.startswith("_")}
 
 
+def _member_name(statement):
+    """The name a class-body statement defines as a method, property or
+    annotated field; None for any other statement."""
+    if isinstance(statement, ast.FunctionDef):
+        return statement.name
+    if isinstance(statement, ast.AnnAssign) and isinstance(statement.target, ast.Name):
+        return statement.target.id
+    return None
+
+
 def public_members(sources):
-    """{"<Class>.<member>": module} of every public method and property
-    (a function in the class body) of a public class."""
-    return {f"{node.name}.{member.name}": module
+    """{"<Class>.<member>": module} of every public method, property and
+    annotated field of a public class."""
+    return {f"{node.name}.{name}": module
             for module, text in sources.items()
             for node in ast.parse(text).body
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
-            for member in node.body
-            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")}
+            for name in map(_member_name, node.body)
+            if name and not name.startswith("_")}
 
 
 def _units(text):
@@ -182,13 +196,16 @@ def test_a_dead_function_fails(module):
         f"{module}.dead_public_function has no user"]
 
 
-@pytest.mark.parametrize("decorator", ["", "@property\n    "], ids=["method", "property"])
-def test_a_dead_member_fails(decorator):
+@pytest.mark.parametrize("member", [
+    "def dead_member(self):\n        return self.dead_member\n",
+    "@property\n    def dead_member(self):\n        return self.dead_member\n",
+    "dead_member: int = 0\n",
+], ids=["method", "property", "field"])
+def test_a_dead_member_fails(member):
     # a public class whose own name has a user, with one member nobody reads
     sources, *rest = repo_inputs()
     sources["phase_space"] += (
-        "\n\nclass Holder:\n"
-        f"    {decorator}def dead_member(self):\n        return self.dead_member\n"
+        f"\n\nclass Holder:\n    {member}"
         "\n\ndef _holder():\n    return Holder\n")
     assert public_api_problems(sources, *rest, PAPER_API) == [
         "phase_space.Holder.dead_member has no user"]
@@ -214,6 +231,7 @@ def test_each_rule_keeps_a_name():
     assert "mw_reflection" in bench_imports(workloads)
     assert "scaled" in attribute_reads(ast.parse(workloads))
     assert "fundamental_form" in member_reads(sources)
-    assert {"QuadraticHamiltonian.scaled", "KahlerStructure.dim"} <= set(public_members(sources))
+    assert {"QuadraticHamiltonian.scaled", "KahlerStructure.dim",
+            "KahlerStructure.omega"} <= set(public_members(sources))
     assert {("fock", "build_fock"), ("errors", "PathSingularityError")} <= metric_names(benchmark)
     assert script_entries(pyproject) == {("cli", "main_entry")}
